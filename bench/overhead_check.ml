@@ -1,13 +1,18 @@
-(* Observability overhead gate.
+(* Observability overhead gates.
 
    The observability layer must be zero-cost when disabled: every
    instrumentation site guards event construction behind a single
    [Sink.enabled] branch on the null sink. This check times a fixed
    scheduler workload with the sink disabled, twice, and fails if the two
    series disagree by more than the tolerance — i.e. if the "disabled" path
-   has any measurable, non-noise cost. The enabled-sink cost is reported
-   informationally (it is allowed to cost something; that is what you pay
-   for a trace).
+   has any measurable, non-noise cost. The traced enabled-sink cost is
+   reported informationally (it is allowed to cost something; that is what
+   you pay for a trace).
+
+   Metrics alone must stay cheap: a fine-grain BSP run with the sink
+   [--metrics-out] builds ([Sink.create ~trace:false ()]) fails the check
+   when it costs more than [metrics_budget] over the same run on
+   [Sink.null].
 
    Run via bench/check.sh or `dune exec bench/overhead_check.exe`. *)
 
@@ -15,6 +20,7 @@ open Hrt_engine
 open Hrt_core
 
 let tolerance = 0.02 (* 2% *)
+let metrics_budget = 0.15 (* 15% *)
 
 let workload ~obs () =
   let config = { Config.default with Config.admission_control = false } in
@@ -29,6 +35,19 @@ let workload ~obs () =
   done;
   Scheduler.run ~until:(Time.ms 10) sys
 
+(* A fine-grain BSP run: per-CPU scheduler passes, arrivals, dispatches
+   and interrupts every few simulated microseconds, so nearly every
+   engine event reaches the sink. *)
+let bsp_workload ~obs () =
+  let params =
+    { (Hrt_bsp.Bsp.fine_grain ~cpus:24 ~barrier:false) with Hrt_bsp.Bsp.iters = 2_000 }
+  in
+  let mode =
+    Hrt_bsp.Bsp.Rt
+      { period = Time.us 100; slice = Time.us 90; phase_correction = true }
+  in
+  ignore (Hrt_bsp.Bsp.run ~policy:Config.Edf ~obs params mode)
+
 (* Min-of-N over samples of [reps] back-to-back runs each: the minimum is
    the least-noise estimate of the true cost. *)
 let measure ?(samples = 9) ~reps f =
@@ -42,6 +61,27 @@ let measure ?(samples = 9) ~reps f =
     if dt < !best then best := dt
   done;
   !best
+
+(* Min-of-N for the metrics-only BSP run and the same run on [Sink.null].
+   The two alternate within each sample, so a slow stretch of the host
+   hits both series alike. *)
+let metrics_within_budget () =
+  let once f =
+    let t0 = Sys.time () in
+    f ();
+    Sys.time () -. t0
+  in
+  let null = ref infinity and on = ref infinity in
+  for _ = 1 to 11 do
+    null := Float.min !null (once (bsp_workload ~obs:Hrt_obs.Sink.null));
+    on :=
+      Float.min !on
+        (once (fun () -> bsp_workload ~obs:(Hrt_obs.Sink.create ~trace:false ()) ()))
+  done;
+  let over = (!on -. !null) /. !null in
+  Printf.printf "metrics:  %.4fs vs %.4fs null (+%.1f%%, budget %.0f%%)\n" !on
+    !null (100. *. over) (100. *. metrics_budget);
+  over <= metrics_budget
 
 let () =
   let reps = 20 in
@@ -71,5 +111,12 @@ let () =
         (100. *. tolerance);
       exit 1
     end
+  end;
+  bsp_workload ~obs:Hrt_obs.Sink.null ();
+  (* One retry, as above. *)
+  if not (metrics_within_budget () || metrics_within_budget ()) then begin
+    Printf.printf "FAIL: the metrics-only sink costs more than %.0f%% over null\n"
+      (100. *. metrics_budget);
+    exit 1
   end;
   print_endline "overhead check: OK"

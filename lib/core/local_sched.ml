@@ -110,7 +110,8 @@ let emit_wake t (th : Thread.t) now =
   if obs_on t then
     obs_emit t ~time:now (Obs.Event.Wake { tid = th.id; thread = th.name })
 
-let sample t cost = Machine.sample t.shared.machine t.cpu cost
+let sample t cost =
+  Platform.sample t.shared.machine.Machine.platform t.cpu.Machine.rng cost
 
 let rt_queue_length t = Prio_queue.length t.rt_run
 let pending_length t = Prio_queue.length t.pending
@@ -297,12 +298,7 @@ let record_miss_completion t (th : Thread.t) now =
     let miss_time = Time.max 0L Time.(now - th.miss_deadline) in
     th.miss_time_total <- Time.(th.miss_time_total + miss_time);
     Account.record_miss t.account ~miss_time_ns:miss_time;
-    (if obs_on t then
-       Obs.Metrics.observe
-         (Obs.Metrics.histo
-            (Obs.Sink.metrics t.shared.obs)
-            ~cpu:(cpu_id t) "sched.miss_time_us")
-         (Int64.to_float miss_time /. 1_000.));
+    Obs.Sink.record_miss_time t.shared.obs ~cpu:(cpu_id t) miss_time;
     th.missed_current <- false
   end
 

@@ -250,12 +250,7 @@ let create ?(seed = 42L) ?num_cpus ?(config = Config.default)
      Array.iteri
        (fun cpu _ ->
          Obs.Sink.emit obs ~time:0L ~cpu (Obs.Event.Policy { policy }))
-       scheds;
-     (* Live queue-depth gauge: pulled at snapshot points rather than
-        pushed per event — the engine hot loop stays instrumentation-free. *)
-     let eng = machine.Machine.engine in
-     Obs.Sink.add_probe obs ~name:"engine.pending" (fun () ->
-         float_of_int (Engine.pending_events eng))
+       scheds
    end);
   let t =
     {

@@ -20,9 +20,11 @@ and t = {
   mutable n_sources : int;
   mutable freeze_until : Time.ns;
   mutable freeze_tick : int;
-  (* Closed freeze windows, in increasing order, merged when adjacent.
-     [open_freeze] is the start of the currently open window, if any. *)
-  mutable windows : (Time.ns * Time.ns) list; (* reverse order *)
+  (* Closed freeze windows, newest first. They are disjoint and in time
+     order: a window opens at [now], which is never before the previous
+     window's end. [open_freeze] is the start of the currently open
+     window, if any. *)
+  mutable windows : (Time.ns * Time.ns) list;
   mutable open_freeze : Time.ns option;
   mutable total_frozen_closed : Time.ns;
   mutable stopped : bool;
@@ -146,20 +148,26 @@ let freeze t ~until =
       t.freeze_tick <- tick_of until)
   end
 
-let[@hrt.cold] frozen_overlap t a b =
+let overlap a b s e =
+  let lo = Time.max a s and hi = Time.min b e in
+  if Time.(hi > lo) then Time.(hi - lo) else 0L
+
+(* Newest first, so the scan stops at the first window that ends at or
+   before [a]: every older window ends earlier still. *)
+let rec closed_overlap a b acc windows =
+  match windows with
+  | (s, e) :: older when Time.(e > a) ->
+    closed_overlap a b Time.(acc + overlap a b s e) older
+  | _ -> acc
+
+let frozen_overlap t a b =
   if Time.(b <= a) then 0L
-  else begin
-    let overlap (s, e) =
-      let lo = Time.max a s and hi = Time.min b e in
-      if Time.(hi > lo) then Time.(hi - lo) else 0L
-    in
-    let closed =
-      List.fold_left (fun acc w -> Time.(acc + overlap w)) 0L t.windows
-    in
-    match t.open_freeze with
-    | None -> closed
-    | Some s -> Time.(closed + overlap (s, t.freeze_until))
-  end
+  else
+    match t.windows, t.open_freeze with
+    | [], None -> 0L
+    | windows, None -> closed_overlap a b 0L windows
+    | windows, Some s ->
+      Time.(closed_overlap a b 0L windows + overlap a b s t.freeze_until)
 
 let[@hrt.cold] total_frozen t =
   (* An open window is committed through [freeze_until]: count all of it. *)
@@ -173,7 +181,6 @@ let[@hrt.cold] total_frozen t =
 let stop t = t.stopped <- true
 let events_executed t = t.executed
 let pending t = Event_queue.size t.queue
-let pending_events = pending
 let max_queue_depth t = t.max_pending
 
 let dispatch t a =

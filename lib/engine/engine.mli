@@ -102,9 +102,6 @@ val events_executed : t -> int
 val pending : t -> int
 (** Number of live events still queued, O(1). *)
 
-val pending_events : t -> int
-(** Alias of {!pending} (the name the observability gauge uses). *)
-
 val max_queue_depth : t -> int
 (** High-water mark of {!pending} over the engine's lifetime (an event-loop
     health metric; exported by the observability layer). *)

@@ -1,24 +1,38 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte buffer: updating a
+   [mutable int64] field boxes a fresh Int64 on every draw, while the
+   64-bit byte primitives read and write the raw word in place. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+(* Draws are the per-event hot path (every sampled cost goes through
+   [gaussian]); construction is cold. *)
+[@@@hrt.hot]
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let[@hrt.cold] create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden in
+  set64 t 0 s;
+  mix s
 
-let split t = create (next t)
+let[@hrt.cold] split t = create (next t)
 
-let float t =
-  (* 53 random bits scaled into [0,1). *)
-  let bits = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits *. (1. /. 9007199254740992.)
+(* 53 random bits scaled into [0,1). *)
+let[@inline] float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11)
+  *. (1. /. 9007199254740992.)
 
 (* Uniform in [0, span) from 63 random bits, without modulo bias: draws
    landing in the incomplete final copy of [0, span) at the top of the
@@ -30,13 +44,13 @@ let float t =
    except on the (astronomically rare, span/2^63) rejected draw. *)
 let bounded t span =
   let rem = Int64.unsigned_rem Int64.min_int span in
-  let rec draw () =
-    let bits = Int64.shift_right_logical (next t) 1 in
-    if Int64.equal rem 0L then bits
-    else if Int64.compare bits (Int64.sub Int64.min_int rem) >= 0 then draw ()
-    else bits
-  in
-  Int64.rem (draw ()) span
+  let limit = Int64.sub Int64.min_int rem in
+  let bits = ref (Int64.shift_right_logical (next t) 1) in
+  if not (Int64.equal rem 0L) then
+    while Int64.compare !bits limit >= 0 do
+      bits := Int64.shift_right_logical (next t) 1
+    done;
+  Int64.rem !bits span
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int";
@@ -46,19 +60,20 @@ let range_ns t lo hi =
   if not Time.(lo < hi) then invalid_arg "Rng.range_ns";
   Int64.add lo (bounded t (Int64.sub hi lo))
 
+(* A uniform in (1e-300, 1): redraws the (practically never seen) draws
+   too close to zero for [log]. A local float ref, not a closure, so the
+   loop allocates nothing. *)
+let[@inline] positive_float t =
+  let u = ref (float t) in
+  while !u <= 1e-300 do
+    u := float t
+  done;
+  !u
+
 let gaussian t ~mu ~sigma =
-  let rec draw () =
-    let u1 = float t in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () in
+  let u1 = positive_float t in
   let u2 = float t in
   let r = sqrt (-2. *. log u1) in
   mu +. (sigma *. r *. cos (2. *. Float.pi *. u2))
 
-let exponential t ~mean =
-  let rec draw () =
-    let u = float t in
-    if u <= 1e-300 then draw () else u
-  in
-  -.mean *. log (draw ())
+let exponential t ~mean = -.mean *. log (positive_float t)

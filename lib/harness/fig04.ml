@@ -15,11 +15,14 @@ let run ?ctx () =
     | Exp.Full -> Time.ms 500
   in
   (* The scope pins are driven from the observability stream: the same
-     Irq/Sched_pass/Dispatch/Idle events every consumer sees. When the
-     caller's context has no sink (the common case), a private traceless
-     sink is created just for the pin subscriber. *)
+     Irq/Sched_pass/Dispatch/Idle events every consumer sees. The pin
+     subscriber goes on a private sink, never on the caller's: it captures
+     this run's engine, and a caller that reuses its sink (e.g. [hrt_sim
+     all --metrics-out]) would otherwise keep feeding GPIO edges into that
+     dead engine for every later experiment. An enabled caller gets the
+     run's metrics and events back through [absorb], as parallel jobs do. *)
   let sink =
-    if Hrt_obs.Sink.enabled ctx.Exp.Ctx.sink then ctx.Exp.Ctx.sink
+    if Hrt_obs.Sink.enabled ctx.Exp.Ctx.sink then Hrt_obs.Sink.child ctx.Exp.Ctx.sink
     else Hrt_obs.Sink.create ~trace:false ()
   in
   let sys = Scheduler.create ~seed:ctx.Exp.Ctx.seed ~num_cpus:2 ~obs:sink Platform.phi in
@@ -51,6 +54,7 @@ let run ?ctx () =
         | Hrt_obs.Event.Idle -> set thread_pin time false
         | _ -> ());
   Scheduler.run ~until:horizon sys;
+  Hrt_obs.Sink.absorb ctx.Exp.Ctx.sink sink;
   let settle = Time.ms 5 in
   let analyze name pin =
     let intervals =

@@ -2,7 +2,12 @@ open Hrt_stats
 
 type counter = { mutable n : int }
 type gauge = { mutable g : float; mutable touched : bool }
-type histo = { samples : Percentile.t; summary : Summary.t }
+(* A histogram keeps every sample (exact percentiles) plus its running
+   mean (Welford's update, the same arithmetic as [Summary.add]) and max.
+   [stats] holds floats only, so OCaml stores it flat and an update
+   writes in place rather than boxing a float per field. *)
+type stats = { mutable seen : float; mutable mean : float; mutable max : float }
+type histo = { samples : Percentile.t; stats : stats }
 
 type instrument =
   | Counter of counter
@@ -17,6 +22,12 @@ type t = {
 }
 
 let create () = { tbl = Hashtbl.create 64; order = [] }
+
+let new_histo () =
+  {
+    samples = Percentile.create ();
+    stats = { seen = 0.; mean = 0.; max = neg_infinity };
+  }
 
 let find_or_add t ~name ~cpu make =
   let key = { name; cpu } in
@@ -45,7 +56,7 @@ let gauge t ?cpu name =
 let histo t ?cpu name =
   match
     find_or_add t ~name ~cpu (fun () ->
-        Histo { samples = Percentile.create (); summary = Summary.create () })
+        Histo (new_histo ()))
   with
   | Histo h -> h
   | Counter _ | Gauge _ ->
@@ -64,11 +75,14 @@ let gauge_value g = g.g
 
 let observe h v =
   Percentile.add h.samples v;
-  Summary.add h.summary v
+  let s = h.stats in
+  s.seen <- s.seen +. 1.;
+  s.mean <- s.mean +. ((v -. s.mean) /. s.seen);
+  if v > s.max then s.max <- v
 
 let histo_count h = Percentile.count h.samples
-let histo_mean h = Summary.mean h.summary
-let histo_max h = Summary.max h.summary
+let histo_mean h = if h.stats.seen > 0. then h.stats.mean else 0.
+let histo_max h = h.stats.max
 
 let histo_percentile h p =
   if Percentile.count h.samples = 0 then 0. else Percentile.value h.samples p
@@ -108,8 +122,7 @@ let merge dst src =
         | Histo h -> (
           match
             find_or_add dst ~name:key.name ~cpu:key.cpu (fun () ->
-                Histo
-                  { samples = Percentile.create (); summary = Summary.create () })
+                Histo (new_histo ()))
           with
           | Histo d -> Percentile.iter h.samples (fun v -> observe d v)
           | Counter _ | Gauge _ -> mismatch "histogram"))

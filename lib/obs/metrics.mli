@@ -1,10 +1,12 @@
 (** Metrics registry: counters, gauges and histograms keyed by name plus an
     optional per-CPU label.
 
-    Handles are created on first use and cached by the caller; updating a
-    handle is a field write (counter/gauge) or a sample append (histogram),
-    so instrumented hot paths stay cheap. Registering the same name with a
-    different instrument kind raises [Invalid_argument]. *)
+    The registry's name lookup is for first-use registration and export.
+    Hot paths resolve a handle once and keep it: {!Sink} caches one per
+    (series, cpu) it derives from events. Updating a handle is a field
+    write (counter/gauge) or a sample append (histogram) and allocates
+    nothing. Registering the same name with a different instrument kind
+    raises [Invalid_argument]. *)
 
 type t
 

@@ -4,7 +4,14 @@
     of subscribers. The {!null} sink is disabled: {!emit} on it is a no-op,
     and instrumentation sites are expected to guard event construction with
     {!enabled} so that a run without observability costs nothing beyond a
-    predictable branch. *)
+    predictable branch.
+
+    An enabled sink resolves every series it derives from an event once,
+    into a dense per-(series, cpu) table of registry handles; after that
+    first use, {!emit} updates a handle through an array load and does no
+    hashing, key building, or name concatenation. Handles are registered
+    on first use, so the registry's creation order (and every export) is
+    the same as if each event looked its series up by name. *)
 
 open Hrt_engine
 
@@ -28,9 +35,17 @@ val emit : t -> time:Time.ns -> cpu:int -> Event.t -> unit
 (** Record an event: updates the derived metrics, appends to the trace
     buffer (if any), and notifies subscribers. No-op on a disabled sink. *)
 
+val record_miss_time : t -> cpu:int -> Time.ns -> unit
+(** Add one sample, in microseconds, to the CPU's [sched.miss_time_us]
+    histogram: how long a missed arrival ran past its deadline before its
+    slice completed. Goes through the same handle table as {!emit}. No-op
+    on a disabled sink. *)
+
 val subscribe : t -> subscriber -> unit
 (** Add a callback invoked synchronously on every event (enabled sinks
-    only). Used for legacy probe shims and custom harness instruments. *)
+    only), after the metrics and trace are updated. Used by the live
+    trace verifier and by harness instruments that watch the event
+    stream (e.g. Fig 4's GPIO view). *)
 
 val add_probe : t -> name:string -> (unit -> float) -> unit
 (** Register a pull gauge: [sample_probes] reads the callback and stores

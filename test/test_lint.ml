@@ -183,6 +183,49 @@ let test_self_scan () =
     Alcotest.(check (list string)) "tree is lint-clean" [] offenders;
     Alcotest.(check bool) "scanned a real tree" true (report.Driver.files > 50)
 
+(* The enabled sink's per-event path sits in the committed [alloc] scope
+   and is marked hot: putting the per-event series-name concatenation the
+   handle table replaced back into [update_metrics] must trip
+   [alloc-append]. *)
+let test_sink_emit_mutation () =
+  match find_repo_root (Sys.getcwd ()) 0 with
+  | None -> Alcotest.fail "repository root (.git + .hrt-lint) not found"
+  | Some root ->
+    let config =
+      match Config.load (Filename.concat root ".hrt-lint") with
+      | Ok c -> c
+      | Error m -> Alcotest.failf "config load failed: %s" m
+    in
+    let path = "lib/obs/sink.ml" in
+    let src =
+      In_channel.with_open_text (Filename.concat root path) In_channel.input_all
+    in
+    let site = "incr t (find_phase t phase h.phases) ~cpu" in
+    let at =
+      let n = String.length site in
+      let rec find i =
+        if i + n > String.length src then
+          Alcotest.failf "%s: mutation site %S not found" path site
+        else if String.sub src i n = site then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    let mutant =
+      String.sub src 0 at
+      ^ "incr t (row (\"group.phase.\" ^ phase)) ~cpu"
+      ^ String.sub src (at + String.length site)
+          (String.length src - at - String.length site)
+    in
+    let appends src =
+      List.filter
+        (fun d -> d.Diag.rule = "alloc-append" && not (Diag.waived d))
+        (Driver.scan_string ~config ~path src)
+    in
+    Alcotest.(check (list string)) "committed sink is clean" []
+      (diag_lines (appends src));
+    Alcotest.(check bool) "mutant trips alloc-append" true (appends mutant <> [])
+
 let test_summary_line () =
   let report = Driver.run ~config:Config.all_on ~root:"lint" [ "alloc_tuple.ml" ] in
   Alcotest.(check string) "summary format"
@@ -259,6 +302,8 @@ let suite =
     Alcotest.test_case "waiver budget" `Quick test_waiver_budget_exceeded;
     Alcotest.test_case "summary line" `Quick test_summary_line;
     Alcotest.test_case "self scan clean" `Quick test_self_scan;
+    Alcotest.test_case "sink emit mutation trips alloc-append" `Quick
+      test_sink_emit_mutation;
     Alcotest.test_case "buddy lowest offset" `Quick test_buddy_lowest_offset;
     Alcotest.test_case "apic timer armed" `Quick test_apic_timer_armed;
     Alcotest.test_case "fig10 repeatable" `Quick test_fig10_repeatable;

@@ -265,6 +265,195 @@ let test_event_samples_cover_all_kinds () =
   let all = List.sort_uniq compare Event.all_kinds in
   Alcotest.(check (list string)) "every constructor sampled" all sampled
 
+(* ---- the sink's handle table against per-event lookups ---- *)
+
+(* The series each event feeds, looked up by name on every event: the
+   specification the sink's pre-resolved handle table must reproduce. *)
+let reference_update m ~cpu ev =
+  let c name = Metrics.incr (Metrics.counter m ~cpu name) in
+  let h name ns =
+    Metrics.observe (Metrics.histo m ~cpu name) (Int64.to_float ns /. 1_000.)
+  in
+  match ev with
+  | Event.Dispatch _ -> c "sched.dispatch"
+  | Event.Preempt _ -> c "sched.preempt"
+  | Event.Deadline_miss { lateness_ns; _ } ->
+    c "sched.deadline_miss";
+    h "sched.miss_lateness_us" lateness_ns
+  | Event.Admission_accept _ -> c "admission.accept"
+  | Event.Admission_reject _ -> c "admission.reject"
+  | Event.Arrival _ -> c "sched.arrival"
+  | Event.Complete _ -> c "sched.complete"
+  | Event.Block _ -> c "sched.block"
+  | Event.Wake _ -> c "sched.wake"
+  | Event.Irq { dur_ns } ->
+    c "irq.count";
+    h "irq.dur_us" dur_ns
+  | Event.Sched_pass { dur_ns } ->
+    c "sched.pass";
+    h "sched.pass_us" dur_ns
+  | Event.Steal_attempt { success; _ } ->
+    c "steal.attempt";
+    if success then c "steal.success"
+  | Event.Barrier_arrive _ -> c "barrier.arrive"
+  | Event.Barrier_release { wait_ns; _ } ->
+    c "barrier.release";
+    h "barrier.wait_us" wait_ns
+  | Event.Group_phase { phase; _ } -> c ("group.phase." ^ phase)
+  | Event.Elected { leader; _ } ->
+    c "group.election.decided";
+    if leader then c "group.election.leader"
+  | Event.Policy { policy } ->
+    Metrics.set (Metrics.gauge m ~cpu ("sched.policy." ^ policy)) 1.
+  | Event.Fault_plan _ -> c "fault.plan_armed"
+  | Event.Overload { boundary } ->
+    c "sched.overload_transition";
+    Metrics.set
+      (Metrics.gauge m ~cpu "sched.overload")
+      (if String.equal boundary "none" then 0. else 1.)
+  | Event.Shed _ -> c "sched.shed"
+  | Event.Demote _ -> c "sched.demote"
+  | Event.Recover _ -> c "sched.recover"
+  | Event.Idle -> c "sched.idle_transition"
+
+(* Every constructor (plus a second group phase and the miss-time
+   histogram), on CPUs visited out of order so rows grow after first use,
+   twice over so the second pass runs on cached handles. *)
+let test_handle_table_matches_lookup () =
+  let sink = Sink.create ~trace:false () in
+  let m = Metrics.create () in
+  let events =
+    event_samples @ [ Event.Group_phase { tid = 7; phase = "barrier" } ]
+  in
+  for _ = 1 to 2 do
+    List.iter
+      (fun cpu ->
+        List.iteri
+          (fun i ev ->
+            Sink.emit sink ~time:(Int64.of_int i) ~cpu ev;
+            reference_update m ~cpu ev)
+          events;
+        Sink.record_miss_time sink ~cpu (Int64.of_int (1_500 * (cpu + 1)));
+        Metrics.observe
+          (Metrics.histo m ~cpu "sched.miss_time_us")
+          (Int64.to_float (Int64.of_int (1_500 * (cpu + 1))) /. 1_000.))
+      [ 2; 0; 5; 1; 3; 4 ]
+  done;
+  Alcotest.(check (list (list string)))
+    "same rows" (Metrics.rows m)
+    (Metrics.rows (Sink.metrics sink));
+  Alcotest.(check int) "same registry size" (Metrics.size m)
+    (Metrics.size (Sink.metrics sink))
+
+(* Once a (series, cpu) handle is resolved, emitting allocates nothing
+   for counter events, and only the boxed microsecond sample for
+   histogram events. *)
+let test_emit_allocation () =
+  let sink = Sink.create ~trace:false () in
+  let counters =
+    [|
+      Event.Dispatch { tid = 1; thread = "t" };
+      Event.Arrival
+        { tid = 1; thread = "t"; arrival = 0L; deadline = 100L; period = 100L };
+      Event.Complete { tid = 1; thread = "t" };
+      Event.Idle;
+      Event.Group_phase { tid = 1; phase = "done" };
+    |]
+  in
+  let histos = [| Event.Sched_pass { dur_ns = 420L }; Event.Irq { dur_ns = 250L } |] in
+  let words_per_event evs n =
+    let emit_all () =
+      for i = 1 to n do
+        Sink.emit sink ~time:0L ~cpu:(i land 3) evs.(i mod Array.length evs)
+      done
+    in
+    (* Warm up: resolve every handle and grow the sample arrays past the
+       minor heap's size limit. *)
+    emit_all ();
+    let w0 = Gc.minor_words () in
+    emit_all ();
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let c = words_per_event counters 10_000 in
+  if c > 0.01 then Alcotest.failf "counter events: %.3f minor words/event" c;
+  let h = words_per_event histos 10_000 in
+  if h > 2.01 then Alcotest.failf "histogram events: %.3f minor words/event" h
+
+(* ---- byte-identical metric exports ---- *)
+
+(* MD5 of [Metrics.rows] for two short seeded runs, recorded from the
+   sink that looked every series up by name on every event (minus that
+   code's [engine.pending] probe row, a duplicate of
+   [engine.pending_events] since removed). *)
+let rows_md5 m =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" (List.map (String.concat ",") (Metrics.rows m))))
+
+let has_series m name =
+  List.exists (fun row -> List.hd row = name) (Metrics.rows m)
+
+let test_pinned_rows_bsp () =
+  let obs = Sink.create ~trace:false () in
+  let params =
+    { (Hrt_bsp.Bsp.fine_grain ~cpus:4 ~barrier:false) with Hrt_bsp.Bsp.iters = 300 }
+  in
+  let mode =
+    Hrt_bsp.Bsp.Rt
+      { period = Time.us 100; slice = Time.us 90; phase_correction = true }
+  in
+  ignore (Hrt_bsp.Bsp.run ~seed:7L ~policy:Config.Edf ~obs params mode);
+  let m = Sink.metrics obs in
+  Alcotest.(check bool) "one pending gauge" false (has_series m "engine.pending");
+  Alcotest.(check string) "rows digest" "4607e8ace637572582948e7dc50d9cf8"
+    (rows_md5 m)
+
+(* A degradation run under an SMI storm (misses, overload, shedding) next
+   to a two-member group admission (phases, barrier releases). *)
+let test_pinned_rows_fault () =
+  let obs = Sink.create ~trace:false () in
+  let config =
+    { Config.default with Config.degradation = true; work_stealing = false }
+  in
+  let sys =
+    Scheduler.create ~seed:11L ~num_cpus:4 ~config ~obs Hrt_hw.Platform.phi
+  in
+  Hrt_harness.Exp.run_group_admission sys ~workers:2
+    (Constraints.periodic ~period:(Time.ms 1) ~slice:(Time.us 100) ())
+    ();
+  let spawn name crit period slice =
+    let constr = Constraints.periodic ~period ~slice () in
+    ignore
+      (Scheduler.spawn sys ~name ~cpu:3 ~bound:true ~crit
+         (Program.seq
+            [
+              Program.of_steps
+                (Scheduler.admission_ops sys constr ~on_result:(fun _ -> ()));
+              Program.compute_forever (Time.sec 3600);
+            ]))
+  in
+  spawn "hi" Constraints.High (Time.us 500) (Time.us 50);
+  spawn "lo-a" Constraints.Low (Time.ms 1) (Time.us 300);
+  spawn "lo-b" Constraints.Low (Time.ms 1) (Time.us 300);
+  Hrt_fault.Fault.inject
+    (Option.get (Hrt_fault.Fault.of_name "smi-storm"))
+    sys;
+  Scheduler.run ~until:(Time.ms 40) sys;
+  let m = Sink.metrics obs in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("emits " ^ name) true (has_series m name))
+    [
+      "sched.deadline_miss";
+      "sched.overload_transition";
+      "sched.shed";
+      "group.phase.start";
+      "barrier.release";
+    ];
+  Alcotest.(check bool) "one pending gauge" false (has_series m "engine.pending");
+  Alcotest.(check string) "rows digest" "1a6080647026f7d46829b828d79075ac"
+    (rows_md5 m)
+
 let test_of_parts_rejects_malformed () =
   Alcotest.(check bool)
     "unknown kind" true
@@ -382,6 +571,12 @@ let suite =
       test_event_samples_cover_all_kinds;
     Alcotest.test_case "of_parts rejects malformed input" `Quick
       test_of_parts_rejects_malformed;
+    Alcotest.test_case "handle table matches per-event lookups" `Quick
+      test_handle_table_matches_lookup;
+    Alcotest.test_case "enabled emit allocation" `Quick test_emit_allocation;
+    Alcotest.test_case "pinned rows: fine-grain BSP" `Quick test_pinned_rows_bsp;
+    Alcotest.test_case "pinned rows: fault plan + group" `Quick
+      test_pinned_rows_fault;
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "metrics merge: no duplicate rows" `Quick
       test_metrics_merge_no_double_rows;

@@ -234,6 +234,48 @@ let prop_eq_wheel_matches_heap =
       in
       drain ())
 
+(* ---- Engine freeze windows ---- *)
+
+(* Drive an engine into the given freeze windows (each [(gap, len)] opens
+   [gap] after the previous window's end and lasts [len]; the last one is
+   left open when [open_last]), then check [Engine.frozen_overlap] against
+   the naive fold over every window on random intervals. *)
+let prop_frozen_overlap_matches_fold =
+  QCheck.Test.make ~name:"frozen_overlap matches the naive fold" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 0 40) (pair (int_bound 50) (int_range 1 50)))
+        bool
+        (list_of_size Gen.(int_range 1 30) (pair (int_bound 4000) (int_bound 4000))))
+    (fun (spec, open_last, intervals) ->
+      let eng = Engine.create () in
+      let _, windows =
+        List.fold_left
+          (fun (at, ws) (gap, len) ->
+            let s = Int64.of_int (at + gap) and e = Int64.of_int (at + gap + len) in
+            ignore (Engine.schedule eng ~at:s (fun eng -> Engine.freeze eng ~until:e));
+            (at + gap + len, (s, e) :: ws))
+          (0, []) spec
+      in
+      (match windows with
+      | (s, _) :: _ when open_last -> Engine.run ~until:s eng
+      | (_, e) :: _ ->
+        ignore (Engine.schedule eng ~at:e ignore);
+        Engine.run eng
+      | [] -> Engine.run eng);
+      let naive a b =
+        List.fold_left
+          (fun acc (s, e) ->
+            let lo = Int64.max a s and hi = Int64.min b e in
+            if hi > lo then Int64.add acc (Int64.sub hi lo) else acc)
+          0L windows
+      in
+      List.for_all
+        (fun (a, b) ->
+          let a = Int64.of_int a and b = Int64.of_int b in
+          Engine.frozen_overlap eng a b = naive a b)
+        intervals)
+
 (* ---- Summary ---- *)
 
 let nonempty_floats =
@@ -441,6 +483,7 @@ let suite =
       prop_pq_model;
       prop_eq_sorted_with_cancels;
       prop_eq_wheel_matches_heap;
+      prop_frozen_overlap_matches_fold;
       prop_summary_bounds;
       prop_summary_merge_commutes;
       prop_histogram_conservation;

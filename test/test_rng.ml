@@ -124,8 +124,47 @@ let test_exponential_mean () =
   done;
   Alcotest.(check (float 2.0)) "mean ~ 50" 50. (!sum /. float_of_int n)
 
+(* The stream is pinned bit for bit: every seeded experiment replays it,
+   so a change to the state representation or the draw helpers must not
+   move a single draw. Values recorded from the boxed-state generator. *)
+let test_pinned_stream () =
+  let r = Rng.create 42L in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "next" (-4767286540954276203L) (Rng.next r);
+  Alcotest.(check int64) "float" 4594929399376720760L (bits (Rng.float r));
+  Alcotest.(check int64) "gaussian" 4658227101282856271L
+    (bits (Rng.gaussian r ~mu:3000. ~sigma:300.));
+  Alcotest.(check int64) "exponential" 4625294454681313072L
+    (bits (Rng.exponential r ~mean:5.));
+  Alcotest.(check int) "int" 531 (Rng.int r 1000);
+  let plat = Hrt_hw.Platform.phi in
+  Alcotest.(check int64) "Platform.sample" 2434L
+    (Hrt_hw.Platform.sample plat r plat.Hrt_hw.Platform.sched_pass);
+  Alcotest.(check int64) "next after" 6270620877612482005L (Rng.next r)
+
+(* A cost draw allocates only what crosses module boundaries boxed: the
+   mean and sigma handed to [Rng.gaussian], its result, and the returned
+   [Time.ns]. That is 9 words on OCaml 5.1; the bound leaves room for
+   other compilers, well under the boxed-state generator's 29. *)
+let test_sample_allocation () =
+  let plat = Hrt_hw.Platform.phi in
+  let r = Rng.create 5L in
+  let n = 10_000 in
+  let draw () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Hrt_hw.Platform.sample plat r plat.Hrt_hw.Platform.sched_pass))
+    done
+  in
+  draw ();
+  let w0 = Gc.minor_words () in
+  draw ();
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  if w > 12. then Alcotest.failf "Platform.sample: %.2f minor words/draw" w
+
 let suite =
   [
+    Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
+    Alcotest.test_case "cost draw allocation" `Quick test_sample_allocation;
     Alcotest.test_case "determinism per seed" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "split independence" `Quick test_split_independence;
