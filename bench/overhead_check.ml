@@ -3,11 +3,11 @@
    The observability layer must be zero-cost when disabled: every
    instrumentation site guards event construction behind a single
    [Sink.enabled] branch on the null sink. This check times a fixed
-   scheduler workload with the sink disabled, twice, and fails if the two
-   series disagree by more than the tolerance — i.e. if the "disabled" path
-   has any measurable, non-noise cost. The traced enabled-sink cost is
-   reported informationally (it is allowed to cost something; that is what
-   you pay for a trace).
+   scheduler workload with the sink disabled as two interleaved series,
+   and fails if they disagree by more than the tolerance — i.e. if the
+   "disabled" path has any measurable, non-noise cost. The traced
+   enabled-sink cost is reported informationally (it is allowed to cost
+   something; that is what you pay for a trace).
 
    Metrics alone must stay cheap: a fine-grain BSP run with the sink
    [--metrics-out] builds ([Sink.create ~trace:false ()]) fails the check
@@ -48,47 +48,64 @@ let bsp_workload ~obs () =
   in
   ignore (Hrt_bsp.Bsp.run ~policy:Config.Edf ~obs params mode)
 
+(* Seconds of [reps] back-to-back runs of [f]. *)
+let time_reps ~reps f =
+  let t0 = Sys.time () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  Sys.time () -. t0
+
 (* Min-of-N over samples of [reps] back-to-back runs each: the minimum is
    the least-noise estimate of the true cost. *)
 let measure ?(samples = 9) ~reps f =
   let best = ref infinity in
   for _ = 1 to samples do
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Sys.time () -. t0 in
-    if dt < !best then best := dt
+    best := Float.min !best (time_reps ~reps f)
   done;
   !best
 
-(* Min-of-N for the metrics-only BSP run and the same run on [Sink.null].
-   The two alternate within each sample, so a slow stretch of the host
-   hits both series alike. *)
-let metrics_within_budget () =
-  let once f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  let null = ref infinity and on = ref infinity in
-  for _ = 1 to 11 do
-    null := Float.min !null (once (bsp_workload ~obs:Hrt_obs.Sink.null));
-    on :=
-      Float.min !on
-        (once (fun () -> bsp_workload ~obs:(Hrt_obs.Sink.create ~trace:false ()) ()))
+(* [measure] for two workloads at once: they alternate sample by sample,
+   the order flipping every sample, so a slow stretch of the host hits
+   both series alike. *)
+let measure_pair ?(samples = 9) ~reps f g =
+  let a = ref infinity and b = ref infinity in
+  let sample_a () = a := Float.min !a (time_reps ~reps f) in
+  let sample_b () = b := Float.min !b (time_reps ~reps g) in
+  for s = 1 to samples do
+    if s land 1 = 1 then begin
+      sample_a ();
+      sample_b ()
+    end
+    else begin
+      sample_b ();
+      sample_a ()
+    end
   done;
-  let over = (!on -. !null) /. !null in
-  Printf.printf "metrics:  %.4fs vs %.4fs null (+%.1f%%, budget %.0f%%)\n" !on
-    !null (100. *. over) (100. *. metrics_budget);
+  (!a, !b)
+
+(* The metrics-only BSP run against the same run on [Sink.null]. *)
+let metrics_within_budget () =
+  let null, on =
+    measure_pair ~samples:11 ~reps:1
+      (bsp_workload ~obs:Hrt_obs.Sink.null)
+      (fun () -> bsp_workload ~obs:(Hrt_obs.Sink.create ~trace:false ()) ())
+  in
+  let over = (on -. null) /. null in
+  Printf.printf "metrics:  %.4fs vs %.4fs null (+%.1f%%, budget %.0f%%)\n" on
+    null (100. *. over) (100. *. metrics_budget);
   over <= metrics_budget
 
 let () =
   let reps = 20 in
   (* Warm up allocators and code paths. *)
   workload ~obs:Hrt_obs.Sink.null ();
-  let disabled_a = measure ~reps (workload ~obs:Hrt_obs.Sink.null) in
-  let disabled_b = measure ~reps (workload ~obs:Hrt_obs.Sink.null) in
+  let disabled () =
+    measure_pair ~reps
+      (workload ~obs:Hrt_obs.Sink.null)
+      (workload ~obs:Hrt_obs.Sink.null)
+  in
+  let disabled_a, disabled_b = disabled () in
   let enabled =
     measure ~reps (fun () -> workload ~obs:(Hrt_obs.Sink.create ()) ())
   in
@@ -101,8 +118,7 @@ let () =
     (100. *. ((enabled -. base) /. base));
   if delta > tolerance then begin
     (* One retry: a background process can poison a series. *)
-    let a = measure ~reps (workload ~obs:Hrt_obs.Sink.null) in
-    let b = measure ~reps (workload ~obs:Hrt_obs.Sink.null) in
+    let a, b = disabled () in
     let delta = Float.abs (a -. b) /. Float.min a b in
     Printf.printf "retry: %.4fs / %.4fs (delta %.2f%%)\n" a b (100. *. delta);
     if delta > tolerance then begin

@@ -61,12 +61,33 @@ type shared_state = {
   mutable admitted_all : bool;
 }
 
+(* The update stage of one iteration: compute_local_element over the first
+   (up to 64) local elements, adding [(iter + j) mod 7] to element [j],
+   then [nw] remote writes into the ring neighbour's region, write [w]
+   landing on element [w mod ne]. Both residues come from wrapping
+   counters instead: [ne] is not a constant, so [w mod ne] would be a
+   hardware division per write. [phase] is [iter mod 7]. *)
+let update_step domain ~ne ~nw ~my_base ~neighbour_base ~phase =
+  let r = ref phase in
+  for j = 0 to Stdlib.min (ne - 1) 63 do
+    let idx = my_base + j in
+    domain.(idx) <- (domain.(idx) *. 0.5) +. float_of_int !r;
+    if !r = 6 then r := 0 else incr r
+  done;
+  let k = ref 0 in
+  for _ = 1 to nw do
+    let idx = neighbour_base + !k in
+    domain.(idx) <- domain.(idx) +. 1.0;
+    if !k = ne - 1 then k := 0 else incr k
+  done
+
 (* One worker's iteration loop as a hand-rolled state machine: compute,
    apply remote writes (ring pattern), optionally cross the barrier. *)
 let worker_loop sys shared p ~index ~iter_cost ~barrier_for =
   let my_base = index * p.ne in
   let neighbour_base = (index + 1) mod p.cpus * p.ne in
   let iter = ref 0 in
+  let phase = ref 0 (* !iter mod 7 *) in
   let stage = ref `Compute in
   let crossing = ref None in
   let recorded_start = ref false in
@@ -91,17 +112,9 @@ let worker_loop sys shared p ~index ~iter_cost ~barrier_for =
           stage := `Update;
           Thread.Compute (svc.Thread.sample self iter_cost)
         | `Update ->
-          (* compute_local_element over the local region, then remote
-             writes into the ring neighbour's region. *)
-          for j = 0 to Stdlib.min (p.ne - 1) 63 do
-            let idx = my_base + j in
-            shared.domain.(idx) <-
-              (shared.domain.(idx) *. 0.5) +. float_of_int ((!iter + j) mod 7)
-          done;
-          for w = 0 to p.nw - 1 do
-            let idx = neighbour_base + (w mod p.ne) in
-            shared.domain.(idx) <- shared.domain.(idx) +. 1.0
-          done;
+          update_step shared.domain ~ne:p.ne ~nw:p.nw ~my_base ~neighbour_base
+            ~phase:!phase;
+          phase := if !phase = 6 then 0 else !phase + 1;
           shared.iterations_done <- shared.iterations_done + 1;
           if p.barrier then begin
             crossing := Some (Gbarrier.cross barrier_for);
@@ -131,6 +144,10 @@ let worker_loop sys shared p ~index ~iter_cost ~barrier_for =
 let run ?(seed = 42L) ?(platform = Platform.phi) ?(until = Time.sec 100)
     ?(policy = Config.Edf) ?obs p mode =
   if p.cpus < 1 then invalid_arg "Bsp.run: cpus < 1";
+  if p.ne < 1 then invalid_arg "Bsp.run: ne < 1";
+  if p.nc < 0 then invalid_arg "Bsp.run: nc < 0";
+  if p.nw < 0 then invalid_arg "Bsp.run: nw < 0";
+  if p.iters < 0 then invalid_arg "Bsp.run: iters < 0";
   let config =
     { Config.default with Config.strict_reservations = false; policy }
   in

@@ -56,6 +56,22 @@ val work_per_iteration : Platform.t -> params -> Time.ns
 (** Mean compute time of one iteration of one worker (NE*NC element
     computations + NW remote writes), before scheduling effects. *)
 
+val update_step :
+  float array ->
+  ne:int ->
+  nw:int ->
+  my_base:int ->
+  neighbour_base:int ->
+  phase:int ->
+  unit
+(** One worker's update stage on the shared domain: element
+    [my_base + j], for [j] below [min ne 64], becomes
+    [x *. 0.5 +. float_of_int ((iter + j) mod 7)], then [nw] remote writes
+    add [1.0] each to element [neighbour_base + (w mod ne)], [w] counting
+    from 0. [phase] is [iter mod 7], in [0, 6]. Computed with wrapping
+    counters rather than divisions; exposed so tests can check it against
+    the formula. *)
+
 val run :
   ?seed:int64 ->
   ?platform:Platform.t ->
@@ -70,4 +86,6 @@ val run :
     the scheduling discipline for admission and dispatch (default
     {!Config.Edf}). [obs] is the observability sink for the system
     (default {!Hrt_obs.Sink.null}); the run is fully described by its
-    arguments, so concurrent runs on different domains are safe. *)
+    arguments, so concurrent runs on different domains are safe. Raises
+    [Invalid_argument] if [cpus] or [ne] is below 1, or [nc], [nw] or
+    [iters] is negative. *)

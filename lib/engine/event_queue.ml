@@ -74,9 +74,16 @@ type 'a t = {
   mutable of_len : int;
   mutable next_seq : int;
   mutable live : int;
+  (* [find_min]'s last answer, or [stale]: lets the engine's [next_tick]
+     followed by [take] scan the tiers once. Every mutation that can change
+     the minimum ([place], [cancel], [take]) resets it. *)
+  mutable min_memo : int;
 }
 
 let no_tick = min_int
+
+(* [min_memo] value meaning "not computed"; -1 is a valid answer (empty). *)
+let stale = -2
 
 (* Ticks are plain ints: engine times are int64 nanoseconds, but every
    simulation runs far inside the 62-bit range and unboxed comparisons
@@ -114,6 +121,7 @@ let[@hrt.cold] create ~dummy =
     of_len = 0;
     next_seq = 0;
     live = 0;
+    min_memo = stale;
   }
 
 (* ---- entry pool ---- *)
@@ -323,6 +331,7 @@ let slot_unlink t i =
    window equality (which byte of the tick differs from the cursor's), so
    within one level indices never wrap: scans always run upward. *)
 let place t i =
+  t.min_memo <- stale;
   let tick = t.e_time.(i) in
   if tick < t.cur then begin
     t.e_where.(i) <- w_overdue;
@@ -403,7 +412,7 @@ let rec wheel_min t =
    migrated into the wheel) and can even hold ticks the cursor has passed
    (its page jumped over them), which must still beat a later overdue
    entry. *)
-let find_min t =
+let scan_min t =
   od_clean t;
   of_clean t;
   let best = wheel_min t in
@@ -415,6 +424,17 @@ let find_min t =
   if t.of_len > 0 && (best < 0 || earlier t t.of_heap.(0) best) then
     t.of_heap.(0)
   else best
+
+(* [scan_min] is idempotent until the queue changes: its cleaning and
+   cascading leave the same minimum in place, so a memoized answer is the
+   one a fresh scan would give and pop order cannot change. *)
+let find_min t =
+  if t.min_memo <> stale then t.min_memo
+  else begin
+    let i = scan_min t in
+    t.min_memo <- i;
+    i
+  end
 
 let remove_min t i =
   (* [i] must be the entry [find_min] returned. The cursor never moves
@@ -450,6 +470,7 @@ let add t ~time payload =
 let cancel t h =
   let i = decode t h in
   if i >= 0 then begin
+    t.min_memo <- stale;
     let w = t.e_where.(i) in
     if w >= 0 then begin
       slot_unlink t i;
@@ -520,6 +541,7 @@ let take t =
   let i = find_min t in
   if i < 0 then none
   else begin
+    t.min_memo <- stale;
     remove_min t i;
     t.e_where.(i) <- w_inflight;
     t.live <- t.live - 1;

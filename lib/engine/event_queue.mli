@@ -83,7 +83,9 @@ val no_tick : int
 (** Sentinel returned by {!next_tick} on an empty queue ([min_int]). *)
 
 val next_tick : 'a t -> int
-(** Tick (int nanoseconds) of the earliest live event, or {!no_tick}. *)
+(** Tick (int nanoseconds) of the earliest live event, or {!no_tick}. The
+    minimum it finds is remembered until the queue next changes, so a
+    {!take} (or {!peek_time}, {!pop}) right after it does not scan again. *)
 
 val take : 'a t -> handle
 (** Remove the earliest live event from the queue but keep its entry

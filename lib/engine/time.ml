@@ -12,14 +12,15 @@ let to_float_us t = Int64.to_float t /. 1_000.
 let to_float_ms t = Int64.to_float t /. 1_000_000.
 let to_float_s t = Int64.to_float t /. 1_000_000_000.
 
-let ( + ) = Int64.add
-let ( - ) = Int64.sub
+(* Primitives, not functions: see time.mli. *)
+external ( + ) : ns -> ns -> ns = "%int64_add"
+external ( - ) : ns -> ns -> ns = "%int64_sub"
 let ( * ) t n = Int64.mul t (Int64.of_int n)
 let ( / ) t n = Int64.div t (Int64.of_int n)
-let ( < ) (a : ns) b = Int64.compare a b < 0
-let ( <= ) (a : ns) b = Int64.compare a b <= 0
-let ( > ) (a : ns) b = Int64.compare a b > 0
-let ( >= ) (a : ns) b = Int64.compare a b >= 0
+external ( < ) : ns -> ns -> bool = "%lessthan"
+external ( <= ) : ns -> ns -> bool = "%lessequal"
+external ( > ) : ns -> ns -> bool = "%greaterthan"
+external ( >= ) : ns -> ns -> bool = "%greaterequal"
 
 let min (a : ns) b = if a <= b then a else b
 let max (a : ns) b = if a >= b then a else b

@@ -29,14 +29,24 @@ val to_float_us : ns -> float
 val to_float_ms : ns -> float
 val to_float_s : ns -> float
 
-val ( + ) : ns -> ns -> ns
-val ( - ) : ns -> ns -> ns
+(* The six operators below are [external] primitives, not functions, on
+   purpose: dune's default (dev) profile compiles every library with
+   [-opaque], which stops cross-module inlining, so a [val ( + )] becomes an
+   out-of-line call through [caml_apply2] that boxes its [int64] result on
+   every [Time.(a + b)] on the engine's per-event path. A primitive named in
+   a [.cmi] is expanded at the call site whatever the build flags, and
+   because [ns] is a manifest [int64] the comparisons specialise to unboxed
+   [int64] compares. Do not turn them back into [val]s: test_time.ml checks
+   that a loop of them allocates nothing. *)
+
+external ( + ) : ns -> ns -> ns = "%int64_add"
+external ( - ) : ns -> ns -> ns = "%int64_sub"
 val ( * ) : ns -> int -> ns
 val ( / ) : ns -> int -> ns
-val ( < ) : ns -> ns -> bool
-val ( <= ) : ns -> ns -> bool
-val ( > ) : ns -> ns -> bool
-val ( >= ) : ns -> ns -> bool
+external ( < ) : ns -> ns -> bool = "%lessthan"
+external ( <= ) : ns -> ns -> bool = "%lessequal"
+external ( > ) : ns -> ns -> bool = "%greaterthan"
+external ( >= ) : ns -> ns -> bool = "%greaterequal"
 
 val min : ns -> ns -> ns
 val max : ns -> ns -> ns

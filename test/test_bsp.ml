@@ -56,8 +56,78 @@ let test_work_per_iteration_model () =
     (Int64.to_float coarse /. Int64.to_float fine > 20.)
 
 let test_invalid_params () =
-  Alcotest.check_raises "cpus < 1" (Invalid_argument "Bsp.run: cpus < 1")
-    (fun () -> ignore (Bsp.run { (small ()) with Bsp.cpus = 0 } Bsp.Aperiodic))
+  let rejects what p =
+    Alcotest.check_raises what (Invalid_argument ("Bsp.run: " ^ what))
+      (fun () -> ignore (Bsp.run p Bsp.Aperiodic))
+  in
+  rejects "cpus < 1" { (small ()) with Bsp.cpus = 0 };
+  (* ne = 0 used to die mid-run with Division_by_zero. *)
+  rejects "ne < 1" { (small ()) with Bsp.ne = 0 };
+  rejects "nc < 0" { (small ()) with Bsp.nc = -1 };
+  rejects "nw < 0" { (small ()) with Bsp.nw = -1 };
+  rejects "iters < 0" { (small ()) with Bsp.iters = -1 }
+
+(* The update stage as the formula states it, with both divisions. *)
+let update_by_formula domain ~ne ~nw ~my_base ~neighbour_base ~iter =
+  for j = 0 to min (ne - 1) 63 do
+    let idx = my_base + j in
+    domain.(idx) <- (domain.(idx) *. 0.5) +. float_of_int ((iter + j) mod 7)
+  done;
+  for w = 0 to nw - 1 do
+    let idx = neighbour_base + (w mod ne) in
+    domain.(idx) <- domain.(idx) +. 1.0
+  done
+
+let test_update_step_matches_formula () =
+  (* No preset has ne < 64 or nw > ne, so the counters' wrap paths get
+     their own cases here; three regions let the ring neighbour wrap. *)
+  List.iter
+    (fun (ne, nw) ->
+      let rng = Random.State.make [| ne; nw |] in
+      let init = Array.init (3 * ne) (fun _ -> Random.State.float rng 100.) in
+      let a = Array.copy init and b = Array.copy init in
+      for iter = 0 to 29 do
+        let index = iter mod 3 in
+        let my_base = index * ne and neighbour_base = (index + 1) mod 3 * ne in
+        Bsp.update_step a ~ne ~nw ~my_base ~neighbour_base ~phase:(iter mod 7);
+        update_by_formula b ~ne ~nw ~my_base ~neighbour_base ~iter
+      done;
+      Array.iteri
+        (fun i x ->
+          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
+            Alcotest.failf "ne=%d nw=%d: element %d is %h, formula gives %h" ne
+              nw i x b.(i))
+        a)
+    [
+      (1, 0); (1, 5); (2, 3); (5, 13); (7, 7); (7, 8); (63, 64); (64, 64);
+      (65, 130); (200, 16); (3, 200);
+    ]
+
+(* exec_time and checksum bits of short seeded runs, recorded before the
+   update stage lost its divisions: every stream and the domain must stay
+   bit-identical. The last run has ne < 64 and nw > ne. *)
+let test_pinned_runs () =
+  let rt =
+    Bsp.Rt { period = Time.us 100; slice = Time.us 90; phase_correction = true }
+  in
+  List.iter
+    (fun (name, p, mode, exec, bits) ->
+      let r = Bsp.run ~seed:7L p mode in
+      Alcotest.(check int64) (name ^ " exec_time") exec r.Bsp.exec_time;
+      Alcotest.(check int64)
+        (name ^ " checksum bits") bits
+        (Int64.bits_of_float r.Bsp.checksum))
+    [
+      ( "fine rt",
+        { (Bsp.fine_grain ~cpus:4 ~barrier:false) with Bsp.iters = 50 },
+        rt, 617545L, 0x409940e1c3870e18L );
+      ( "fine aperiodic",
+        { (Bsp.fine_grain ~cpus:4 ~barrier:true) with Bsp.iters = 50 },
+        Bsp.Aperiodic, 891979L, 0x409950d9aa6f3de6L );
+      ( "wrapping",
+        { Bsp.cpus = 3; ne = 5; nc = 10; nw = 13; iters = 40; barrier = true },
+        Bsp.Aperiodic, 445936L, 0x40638f292a514940L );
+    ]
 
 let test_exec_time_scales_with_iters () =
   let t iters =
@@ -100,4 +170,7 @@ let suite =
     Alcotest.test_case "invalid params" `Quick test_invalid_params;
     Alcotest.test_case "exec time scales with iterations" `Quick test_exec_time_scales_with_iters;
     Alcotest.test_case "exec*util constant (Fig 13 invariant)" `Slow test_exec_times_util_constant;
+    Alcotest.test_case "update step matches formula" `Quick
+      test_update_step_matches_formula;
+    Alcotest.test_case "pinned exec time and checksum" `Quick test_pinned_runs;
   ]

@@ -237,6 +237,57 @@ let test_take_finish_defer () =
   Alcotest.(check bool) "no_tick when empty" true
     (Event_queue.next_tick q = Event_queue.no_tick)
 
+(* [next_tick] remembers the minimum for the [take] that follows it; every
+   change to the queue in between must invalidate that answer. The cases
+   cover the wheel and both heap tiers (overdue adds, and far-future
+   overflow entries, which cancel lazily). *)
+let take_payload q =
+  let h = Event_queue.take q in
+  let v = Event_queue.payload q h in
+  Event_queue.finish q h;
+  v
+
+let test_memo_add_earlier () =
+  let q = Event_queue.create ~dummy:"" in
+  ignore (Event_queue.add q ~time:50L "fifty");
+  Alcotest.(check int) "next tick" 50 (Event_queue.next_tick q);
+  ignore (Event_queue.add q ~time:20L "twenty");
+  Alcotest.(check string) "earlier add wins" "twenty" (take_payload q);
+  (* Past the cursor (now at 20), into the overdue heap. *)
+  Alcotest.(check int) "next tick again" 50 (Event_queue.next_tick q);
+  ignore (Event_queue.add q ~time:5L "overdue");
+  Alcotest.(check string) "overdue add wins" "overdue" (take_payload q);
+  Alcotest.(check string) "then the rest" "fifty" (take_payload q)
+
+let test_memo_cancel_min () =
+  let q = Event_queue.create ~dummy:"" in
+  let far = Int64.shift_left 1L 33 in
+  let h10 = Event_queue.add q ~time:10L "ten" in
+  ignore (Event_queue.add q ~time:30L "thirty");
+  Alcotest.(check int) "next tick" 10 (Event_queue.next_tick q);
+  Event_queue.cancel q h10;
+  Alcotest.(check string) "next event after cancel" "thirty" (take_payload q);
+  (* The same through the overflow heap's lazy cancel. *)
+  let hf = Event_queue.add q ~time:far "far" in
+  ignore (Event_queue.add q ~time:(Int64.add far 1L) "far+1");
+  Alcotest.(check int) "next tick far" (Int64.to_int far)
+    (Event_queue.next_tick q);
+  Event_queue.cancel q hf;
+  Alcotest.(check string) "next far event" "far+1" (take_payload q);
+  Alcotest.(check bool) "empty" true
+    (Event_queue.next_tick q = Event_queue.no_tick)
+
+let test_memo_requeue_min () =
+  let q = Event_queue.create ~dummy:"" in
+  let h10 = Event_queue.add q ~time:10L "ten" in
+  ignore (Event_queue.add q ~time:30L "thirty");
+  Alcotest.(check int) "next tick" 10 (Event_queue.next_tick q);
+  ignore (Event_queue.requeue q h10 ~time:40L);
+  Alcotest.(check int) "next tick moved" 30 (Event_queue.next_tick q);
+  Alcotest.(check string) "requeued min is not taken" "thirty"
+    (take_payload q);
+  Alcotest.(check string) "requeued fires later" "ten" (take_payload q)
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_order;
@@ -264,4 +315,9 @@ let suite =
     Alcotest.test_case "past adds fire first" `Quick test_past_adds;
     Alcotest.test_case "take/defer/finish protocol" `Quick
       test_take_finish_defer;
+    Alcotest.test_case "next_tick then earlier add" `Quick
+      test_memo_add_earlier;
+    Alcotest.test_case "next_tick then cancel min" `Quick test_memo_cancel_min;
+    Alcotest.test_case "next_tick then requeue min" `Quick
+      test_memo_requeue_min;
   ]

@@ -156,6 +156,8 @@ type eq_op =
   | Eq_cancel of int
   | Eq_requeue of int * int
   | Eq_pop
+  | Eq_next_tick
+  | Eq_take
 
 let eq_op_gen =
   QCheck.Gen.(
@@ -167,6 +169,10 @@ let eq_op_gen =
         (2, map (fun i -> Eq_cancel i) (int_bound 200));
         (2, map (fun (i, t) -> Eq_requeue (i, t)) (pair (int_bound 200) (int_bound 12)));
         (5, return Eq_pop);
+        (* The engine's protocol: [next_tick] memoizes the minimum, so any
+           mutation that fails to reset it shows up as a divergence. *)
+        (3, return Eq_next_tick);
+        (3, return Eq_take);
       ])
 
 let prop_eq_wheel_matches_heap =
@@ -219,6 +225,26 @@ let prop_eq_wheel_matches_heap =
               end;
               true)
         | Eq_pop -> Event_queue.pop w = Heap_queue.pop h
+        | Eq_next_tick ->
+          let tick = Event_queue.next_tick w in
+          let got =
+            if tick = Event_queue.no_tick then None else Some (Int64.of_int tick)
+          in
+          got = Heap_queue.peek_time h
+        | Eq_take ->
+          let hw = Event_queue.take w in
+          let got =
+            if hw = Event_queue.none then None
+            else begin
+              let r =
+                ( Int64.of_int (Event_queue.inflight_tick w hw),
+                  Event_queue.payload w hw )
+              in
+              Event_queue.finish w hw;
+              Some r
+            end
+          in
+          got = Heap_queue.pop h
       in
       List.for_all
         (fun op ->

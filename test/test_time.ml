@@ -47,6 +47,54 @@ let test_pp () =
   Alcotest.(check string) "ms" "3.200ms" (s 3_200_000L);
   Alcotest.(check string) "s" "1.500s" (s 1_500_000_000L)
 
+(* The six operators are primitives so they inline into callers even
+   under [-opaque] (see time.mli); as [val]s each one is an out-of-line
+   call that boxes its result, and this loop allocates 36 minor words per
+   iteration. *)
+let test_operators_allocate_nothing () =
+  let n = 10_000 in
+  let loop () =
+    let acc = ref 0L and hits = ref 0 in
+    for i = 1 to n do
+      let x = Int64.of_int i in
+      acc := Time.(!acc + x - 1L);
+      if Time.(!acc < x) then incr hits;
+      if Time.(!acc <= x) then incr hits;
+      if Time.(!acc > x) then incr hits;
+      if Time.(!acc >= x) then incr hits
+    done;
+    !hits + Int64.to_int !acc
+  in
+  ignore (Sys.opaque_identity (loop ()));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (loop ()));
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  if w > 0.01 then
+    Alcotest.failf "Time operators: %.2f minor words/iteration" w
+
+let edge_int64 =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ Int64.min_int; Int64.max_int; 0L; 1L; -1L ]);
+        (1, map Int64.of_int small_signed_int);
+        (2, ui64);
+      ])
+
+let prop_operators_match_int64 =
+  QCheck.Test.make ~name:"Time operators agree with Int64" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(pair Int64.to_string Int64.to_string)
+       QCheck.Gen.(pair edge_int64 edge_int64))
+    (fun (a, b) ->
+      let c = Int64.compare a b in
+      Int64.equal Time.(a + b) (Int64.add a b)
+      && Int64.equal Time.(a - b) (Int64.sub a b)
+      && Time.(a < b) = (c < 0)
+      && Time.(a <= b) = (c <= 0)
+      && Time.(a > b) = (c > 0)
+      && Time.(a >= b) = (c >= 0))
+
 let suite =
   [
     Alcotest.test_case "unit constructors" `Quick test_units;
@@ -55,4 +103,7 @@ let suite =
     Alcotest.test_case "float conversions" `Quick test_float_conversions;
     Alcotest.test_case "cycle conversions" `Quick test_cycles;
     Alcotest.test_case "pretty printing" `Quick test_pp;
+    Alcotest.test_case "operators allocate nothing" `Quick
+      test_operators_allocate_nothing;
+    QCheck_alcotest.to_alcotest prop_operators_match_int64;
   ]
