@@ -19,9 +19,10 @@ echo "== observability overhead gates (disabled: zero; metrics-only: <=15%) =="
 dune exec bench/overhead_check.exe
 
 echo "== engine core smoke bench (quick) =="
-# Small sizes: proves the harness runs and the wheel still beats the
-# reference heap; the full-size regression gate is CI's enginebench job.
-dune exec bin/hrt_sim.exe -- enginebench --quick --out /tmp/BENCH_engine_quick.json
+# Small sizes: proves the harness runs end to end and writes its
+# artifact; nothing here compares the wheel to the heap. The full-size
+# regression gate is CI's enginebench job.
+dune exec bin/hrt_sim.exe -- bench engine --quick --out /tmp/BENCH_engine_quick.json
 
 echo "== analytical admission smoke =="
 # A feasible set must be admitted (exit 0) with a certificate that
@@ -32,12 +33,13 @@ if dune exec bin/hrt_sim.exe -- admit query P:100:90; then
   echo "check.sh: overloaded set was admitted" >&2
   exit 1
 fi
-dune exec bin/hrt_sim.exe -- admitbench --quick --out /tmp/BENCH_admit_quick.json
+# On 4 domains, so the parallel batch must match the sequential one.
+dune exec bin/hrt_sim.exe -- bench admit --quick --jobs 4 --out /tmp/BENCH_admit_quick.json
 
 echo "== admission serving smoke =="
-# Boot a real daemon + client round trips (cold/warm/batch) on a private
-# socket; warm replies must be byte-identical to cold. The full-size
-# regression gate is CI's serve job.
-dune exec bin/hrt_sim.exe -- servebench --quick --out /tmp/BENCH_serve_quick.json
+# Boot a real daemon (4 worker domains) + client round trips
+# (cold/warm/batch) on a private socket; warm replies must be
+# byte-identical to cold. The full-size regression gate is CI's serve job.
+dune exec bin/hrt_sim.exe -- bench serve --quick --jobs 4 --out /tmp/BENCH_serve_quick.json
 
 echo "check.sh: all gates passed"

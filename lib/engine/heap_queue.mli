@@ -4,7 +4,7 @@
     {e reference implementation} for the hierarchical timing wheel that
     replaced it ({!Event_queue}): the differential property test drives both
     with the same operation stream and demands identical (time, seq, payload)
-    pop sequences, and [hrt_sim enginebench] uses it as the allocation-heavy
+    pop sequences, and [hrt_sim bench engine] uses it as the allocation-heavy
     baseline the wheel is measured against.
 
     Events are ordered by (time, sequence number): two events at the same

@@ -3,21 +3,6 @@ open Hrt_core
 open Hrt_analysis
 open Hrt_par
 
-type result = {
-  sets : int;
-  repeats : int;
-  jobs : int;
-  cold_seconds : float;
-  warm_seconds : float;
-  cold_qps : float;
-  warm_qps : float;
-  warm_speedup : float;
-  par_qps : float;
-  identical : bool;
-  hits : int;
-  misses : int;
-}
-
 (* Near-harmonic periods whose lcm is 252 ms: the EDF demand scan walks
    a few thousand deadlines per analysis, so a cold query costs orders
    of magnitude more than the fingerprint-plus-lookup of a warm one —
@@ -71,99 +56,20 @@ let measure ?(seed = 42L) ~sets ~repeats ~jobs () =
   in
   let stats = Service.stats svc in
   let qps n seconds = if seconds > 0. then float_of_int n /. seconds else 0. in
-  let warm_seconds = warm_total /. float_of_int repeats in
   let cold_qps = qps sets cold_seconds in
   let warm_qps = qps (sets * repeats) warm_total in
-  {
-    sets;
-    repeats;
-    jobs;
-    cold_seconds;
-    warm_seconds;
-    cold_qps;
-    warm_qps;
-    warm_speedup = (if cold_qps > 0. then warm_qps /. cold_qps else 0.);
-    par_qps = qps (sets * repeats) par_total;
-    identical = par_results = seq_results;
-    hits = stats.Service.hits;
-    misses = stats.Service.misses;
-  }
-
-(* ---- JSON artifact (same hand-rolled flat style as BENCH_engine) ---- *)
-
-let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hrt-admit-bench/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"sets\": %d,\n" r.sets);
-  Buffer.add_string b (Printf.sprintf "  \"repeats\": %d,\n" r.repeats);
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" r.jobs);
-  Buffer.add_string b
-    (Printf.sprintf "  \"warm_queries_per_sec\": %.0f,\n" r.warm_qps);
-  Buffer.add_string b
-    (Printf.sprintf "  \"cold_queries_per_sec\": %.0f,\n" r.cold_qps);
-  Buffer.add_string b
-    (Printf.sprintf "  \"warm_speedup_vs_cold\": %.2f,\n" r.warm_speedup);
-  Buffer.add_string b
-    (Printf.sprintf "  \"par_queries_per_sec\": %.0f,\n" r.par_qps);
-  Buffer.add_string b (Printf.sprintf "  \"identical\": %b,\n" r.identical);
-  Buffer.add_string b (Printf.sprintf "  \"cache_hits\": %d,\n" r.hits);
-  Buffer.add_string b (Printf.sprintf "  \"cache_misses\": %d\n" r.misses);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let write r ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json r))
-
-let scan_field text key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nlen = String.length needle in
-  let len = String.length text in
-  let rec find from =
-    if from + nlen > len then None
-    else if String.sub text from nlen = needle then Some (from + nlen)
-    else find (from + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < len
-      && (match text.[!stop] with
-         | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-         | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub text start (!stop - start)))
-
-let baseline_warm_qps ~path =
-  if not (Sys.file_exists path) then Error (path ^ ": no such baseline")
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match scan_field text "warm_queries_per_sec" with
-    | Some v when v > 0. -> Ok v
-    | _ -> Error (path ^ ": no warm_queries_per_sec field")
-  end
-
-let check_against r ~path ~tolerance =
-  match baseline_warm_qps ~path with
-  | Error _ as e -> e
-  | Ok base ->
-    let floor = base *. (1. -. tolerance) in
-    if r.warm_qps >= floor then Ok base
-    else
-      Error
-        (Printf.sprintf
-           "warm-cache regression: measured %.0f q/s < %.0f (baseline %.0f, \
-            tolerance %.0f%%)"
-           r.warm_qps floor base (100. *. tolerance))
+  let count metric n = Bench.higher metric ~unit:"count" (float_of_int n) in
+  [
+    count "sets" sets;
+    count "repeats" repeats;
+    Bench.higher "warm_queries_per_sec" ~unit:"1/s" warm_qps;
+    Bench.higher "cold_queries_per_sec" ~unit:"1/s" cold_qps;
+    Bench.higher "warm_speedup_vs_cold" ~unit:"ratio"
+      (if cold_qps > 0. then warm_qps /. cold_qps else 0.);
+    Bench.higher "par_queries_per_sec" ~unit:"1/s"
+      (qps (sets * repeats) par_total);
+    Bench.higher "identical" ~unit:"flag"
+      (if par_results = seq_results then 1. else 0.);
+    count "cache_hits" stats.Service.hits;
+    Bench.lower "cache_misses" ~unit:"count" (float_of_int stats.Service.misses);
+  ]

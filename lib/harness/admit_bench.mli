@@ -1,4 +1,4 @@
-(** Admission-service benchmark behind [hrt_sim admitbench].
+(** Admission-service benchmark behind [hrt_sim bench admit].
 
     Measures the memoized {!Hrt_analysis.Service} on a randomized corpus
     of analysis-heavy task sets (6-12 tasks, near-harmonic periods with a
@@ -13,32 +13,12 @@
 
     The headline [warm_queries_per_sec] backs the CI regression gate
     ([BENCH_admit.json]); [warm_speedup_vs_cold] backs the ≥ 10x
-    memoization claim. *)
+    memoization claim, enforced as a floor next to that gate. *)
 
-type result = {
-  sets : int;
-  repeats : int;
-  jobs : int;
-  cold_seconds : float;
-  warm_seconds : float;  (** one warm pass over the corpus *)
-  cold_qps : float;
-  warm_qps : float;
-  warm_speedup : float;  (** warm_qps / cold_qps *)
-  par_qps : float;  (** warm passes at [jobs] domains *)
-  identical : bool;  (** parallel results byte-identical to sequential *)
-  hits : int;
-  misses : int;
-}
-
-val measure : ?seed:int64 -> sets:int -> repeats:int -> jobs:int -> unit -> result
-
-val to_json : result -> string
-val write : result -> path:string -> unit
-
-val baseline_warm_qps : path:string -> (float, string) Result.t
-(** The [warm_queries_per_sec] field of a committed artifact. *)
-
-val check_against : result -> path:string -> tolerance:float -> (float, string) Result.t
-(** Compare warm-cache throughput to the committed baseline: [Ok baseline]
-    when within [tolerance] (a fraction), [Error message] on regression
-    or unreadable baseline. *)
+val measure :
+  ?seed:int64 -> sets:int -> repeats:int -> jobs:int -> unit -> Bench.row list
+(** Rows: [sets], [repeats], [warm_queries_per_sec],
+    [cold_queries_per_sec], [warm_speedup_vs_cold] (warm over cold),
+    [par_queries_per_sec] (warm passes at [jobs] domains), [identical]
+    (1 when the parallel results equal the sequential ones),
+    [cache_hits] and [cache_misses]. *)

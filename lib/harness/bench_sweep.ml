@@ -1,67 +1,27 @@
-type sample = {
-  name : string;
-  jobs : int;
-  seq_seconds : float;
-  par_seconds : float;
-  speedup : float;
-  identical : bool;
-}
-
 let render_all tables =
   String.concat "\n" (List.map Hrt_stats.Table.render tables)
 
-let measure ?ctx entry =
-  let ctx = Exp.or_default ctx in
+(* One entry at jobs=1 then at [ctx.jobs]: its timing rows, and whether
+   the rendered tables came out byte-identical. *)
+let measure_entry ctx entry =
   let seq_tables, seq_seconds =
     Registry.time_run ~ctx:(Exp.Ctx.with_jobs ctx 1) entry
   in
   let par_tables, par_seconds = Registry.time_run ~ctx entry in
-  {
-    name = entry.Registry.name;
-    jobs = ctx.Exp.Ctx.jobs;
-    seq_seconds;
-    par_seconds;
-    speedup = (if par_seconds > 0. then seq_seconds /. par_seconds else 0.);
-    identical = String.equal (render_all seq_tables) (render_all par_tables);
-  }
+  let metric q = entry.Registry.name ^ "." ^ q in
+  ( [
+      Bench.lower (metric "seq_seconds") ~unit:"s" seq_seconds;
+      Bench.lower (metric "par_seconds") ~unit:"s" par_seconds;
+      Bench.higher (metric "speedup") ~unit:"ratio"
+        (if par_seconds > 0. then seq_seconds /. par_seconds else 0.);
+    ],
+    String.equal (render_all seq_tables) (render_all par_tables) )
 
-(* Hand-rolled JSON: the artifact is flat and the repo deliberately has no
-   JSON dependency. *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json ~jobs samples =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hrt-bench-sweep/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string b "  \"sweeps\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    { \"name\": \"%s\", \"jobs\": %d, \"seq_seconds\": %.6f, \
-            \"par_seconds\": %.6f, \"speedup\": %.3f, \"identical\": %b }"
-           (escape s.name) s.jobs s.seq_seconds s.par_seconds s.speedup
-           s.identical))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
-
-let write ~path ~jobs samples =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ~jobs samples))
+let measure ?ctx entries =
+  let ctx = Exp.or_default ctx in
+  let samples = List.map (measure_entry ctx) entries in
+  List.concat_map fst samples
+  @ [
+      Bench.higher "identical" ~unit:"flag"
+        (if List.for_all snd samples then 1. else 0.);
+    ]

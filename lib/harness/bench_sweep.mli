@@ -1,25 +1,12 @@
-(** Sweep-parallelism benchmark: the artifact behind [BENCH_sweep.json].
+(** Sweep-parallelism benchmark behind [hrt_sim bench sweep].
 
     For each registry entry this runs the sweep twice — sequentially
     (jobs=1) and at the context's job count — times both, and checks the
     rendered tables are byte-identical (the determinism guarantee of
-    {!Exp.parallel_map}). The result is written as a small hand-rolled
-    JSON document so CI can archive it and fail on divergence. *)
+    {!Exp.parallel_map}). *)
 
-type sample = {
-  name : string;  (** registry entry name, e.g. "fig13" *)
-  jobs : int;  (** parallel job count used for [par_seconds] *)
-  seq_seconds : float;  (** wall time at jobs=1 *)
-  par_seconds : float;  (** wall time at [jobs] *)
-  speedup : float;  (** [seq_seconds /. par_seconds] *)
-  identical : bool;  (** rendered tables byte-identical across the two runs *)
-}
-
-val measure : ?ctx:Exp.Ctx.t -> Registry.entry -> sample
-(** Run [entry] at jobs=1 then at [ctx.jobs] and compare. [ctx] defaults
+val measure : ?ctx:Exp.Ctx.t -> Registry.entry list -> Bench.row list
+(** Rows per entry: [<name>.seq_seconds] (wall time at jobs=1),
+    [<name>.par_seconds] (at [ctx.jobs]) and [<name>.speedup]; then one
+    [identical] row, 1 when every entry's tables matched. [ctx] defaults
     to {!Exp.or_default}[ None] (so jobs comes from [HRT_JOBS]). *)
-
-val to_json : jobs:int -> sample list -> string
-(** The [BENCH_sweep.json] document. *)
-
-val write : path:string -> jobs:int -> sample list -> unit

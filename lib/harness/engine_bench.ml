@@ -2,20 +2,9 @@ open Hrt_engine
 
 type sample = {
   name : string;
-  events : int;
   seconds : float;
   events_per_sec : float;
   minor_words_per_event : float;
-}
-
-type crossover = { size : int; wheel_ns_per_op : float; heap_ns_per_op : float }
-
-type result = {
-  events : int;
-  sources : int;
-  samples : sample list;
-  speedup : float; (* wheel+actions vs heap baseline, events/sec *)
-  crossovers : crossover list;
 }
 
 (* One timed run: settle the heap first so the measurement window only sees
@@ -31,7 +20,6 @@ let timed f =
 let mk_sample name ~events (seconds, minor_words) =
   {
     name;
-    events;
     seconds;
     events_per_sec = (if seconds > 0. then float_of_int events /. seconds else 0.);
     minor_words_per_event = minor_words /. float_of_int events;
@@ -152,122 +140,37 @@ let measure ~events ~sources ~churn_ops =
   let wheel = run_wheel_actions ~events ~sources in
   let wheel_cl = run_wheel_closures ~events ~sources in
   let heap = run_heap_baseline ~events ~sources in
-  let crossovers =
-    List.map
+  let churn =
+    List.concat_map
       (fun size ->
-        {
-          size;
-          wheel_ns_per_op = churn_wheel ~size ~ops:churn_ops;
-          heap_ns_per_op = churn_heap ~size ~ops:churn_ops;
-        })
+        (* Heap before wheel at each size: the order BENCH_engine.json's
+           churn figures were measured in. *)
+        let heap_ns = churn_heap ~size ~ops:churn_ops in
+        let wheel_ns = churn_wheel ~size ~ops:churn_ops in
+        let metric q = Printf.sprintf "churn.%d.%s_ns_per_op" size q in
+        [
+          Bench.lower (metric "wheel") ~unit:"ns" wheel_ns;
+          Bench.lower (metric "heap") ~unit:"ns" heap_ns;
+        ])
       churn_sizes
   in
-  {
-    events;
-    sources;
-    samples = [ wheel; wheel_cl; heap ];
-    speedup =
+  let sample s =
+    [
+      Bench.higher (s.name ^ ".events_per_sec") ~unit:"1/s" s.events_per_sec;
+      Bench.lower (s.name ^ ".seconds") ~unit:"s" s.seconds;
+      Bench.lower
+        (s.name ^ ".minor_words_per_event")
+        ~unit:"words" s.minor_words_per_event;
+    ]
+  in
+  [
+    Bench.higher "events" ~unit:"count" (float_of_int events);
+    Bench.higher "sources" ~unit:"count" (float_of_int sources);
+    Bench.higher "wheel_events_per_sec" ~unit:"1/s" wheel.events_per_sec;
+    Bench.higher "speedup_vs_heap" ~unit:"ratio"
       (if heap.events_per_sec > 0. then
          wheel.events_per_sec /. heap.events_per_sec
        else 0.);
-    crossovers;
-  }
-
-(* ---- JSON artifact ---- *)
-
-(* Hand-rolled, flat JSON (the repo deliberately has no JSON dependency).
-   The headline numbers are duplicated at top level so the CI regression
-   gate can read them with a string scan instead of a parser. *)
-let to_json r =
-  let b = Buffer.create 1024 in
-  let wheel = List.hd r.samples in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hrt-engine-bench/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"events\": %d,\n" r.events);
-  Buffer.add_string b (Printf.sprintf "  \"sources\": %d,\n" r.sources);
-  Buffer.add_string b
-    (Printf.sprintf "  \"wheel_events_per_sec\": %.0f,\n" wheel.events_per_sec);
-  Buffer.add_string b (Printf.sprintf "  \"speedup_vs_heap\": %.3f,\n" r.speedup);
-  Buffer.add_string b "  \"samples\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    { \"name\": \"%s\", \"events\": %d, \"seconds\": %.6f, \
-            \"events_per_sec\": %.0f, \"minor_words_per_event\": %.2f }"
-           s.name s.events s.seconds s.events_per_sec s.minor_words_per_event))
-    r.samples;
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"crossover\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    { \"size\": %d, \"wheel_ns_per_op\": %.1f, \
-            \"heap_ns_per_op\": %.1f }"
-           c.size c.wheel_ns_per_op c.heap_ns_per_op))
-    r.crossovers;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
-
-let write r ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json r))
-
-(* Read one top-level numeric field out of a committed artifact. *)
-let scan_field text key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nlen = String.length needle in
-  let len = String.length text in
-  let rec find from =
-    if from + nlen > len then None
-    else if String.sub text from nlen = needle then Some (from + nlen)
-    else find (from + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < len
-      && (match text.[!stop] with
-         | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-         | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub text start (!stop - start)))
-
-let baseline_events_per_sec ~path =
-  if not (Sys.file_exists path) then Error (path ^ ": no such baseline")
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match scan_field text "wheel_events_per_sec" with
-    | Some v when v > 0. -> Ok v
-    | _ -> Error (path ^ ": no wheel_events_per_sec field")
-  end
-
-(* CI gate: the measured wheel throughput may not fall more than
-   [tolerance] below the committed baseline. *)
-let check_against r ~path ~tolerance =
-  match baseline_events_per_sec ~path with
-  | Error _ as e -> e
-  | Ok base ->
-    let wheel = (List.hd r.samples).events_per_sec in
-    let floor = base *. (1. -. tolerance) in
-    if wheel >= floor then Ok base
-    else
-      Error
-        (Printf.sprintf
-           "events/sec regression: measured %.0f < %.0f (baseline %.0f, \
-            tolerance %.0f%%)"
-           wheel floor base (100. *. tolerance))
+  ]
+  @ List.concat_map sample [ wheel; wheel_cl; heap ]
+  @ churn

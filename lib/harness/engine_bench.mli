@@ -1,4 +1,4 @@
-(** Engine-core microbenchmark behind [hrt_sim enginebench].
+(** Engine-core microbenchmark behind [hrt_sim bench engine].
 
     Three workloads of self-rescheduling event sources measure the
     zero-allocation refactor end to end:
@@ -11,38 +11,12 @@
       over {!Hrt_engine.Heap_queue}.
 
     A separate churn pass measures ns/op for each queue structure at fixed
-    populations to locate the wheel-vs-heap crossover. Results serialize
-    to a flat JSON artifact ([BENCH_engine.json]) whose headline
-    [wheel_events_per_sec] field backs the CI regression gate. *)
+    populations to locate the wheel-vs-heap crossover. The headline
+    [wheel_events_per_sec] row (wheel+actions) backs the CI regression
+    gate against [BENCH_engine.json]. *)
 
-type sample = {
-  name : string;
-  events : int;
-  seconds : float;
-  events_per_sec : float;
-  minor_words_per_event : float;
-}
-
-type crossover = { size : int; wheel_ns_per_op : float; heap_ns_per_op : float }
-
-type result = {
-  events : int;
-  sources : int;
-  samples : sample list;  (** wheel+actions, wheel+closures, heap+closures *)
-  speedup : float;  (** wheel+actions over heap+closures, events/sec *)
-  crossovers : crossover list;
-}
-
-val measure : events:int -> sources:int -> churn_ops:int -> result
-
-val to_json : result -> string
-val write : result -> path:string -> unit
-
-val baseline_events_per_sec : path:string -> (float, string) Result.t
-(** The [wheel_events_per_sec] field of a committed artifact. *)
-
-val check_against : result -> path:string -> tolerance:float -> (float, string) Result.t
-(** [check_against r ~path ~tolerance] compares [r]'s wheel throughput to
-    the committed baseline at [path]: [Ok baseline] when within
-    [tolerance] (a fraction, e.g. [0.2]), [Error message] on regression
-    or unreadable baseline. *)
+val measure : events:int -> sources:int -> churn_ops:int -> Bench.row list
+(** Rows: the sizes, [wheel_events_per_sec], [speedup_vs_heap]
+    (wheel+actions over heap+closures), each workload's events/sec,
+    seconds and minor words per event, and the churn ns/op per
+    population. *)

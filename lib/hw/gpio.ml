@@ -2,19 +2,20 @@ open Hrt_engine
 
 let pins = 8
 
-type t = {
-  engine : Engine.t;
-  levels : bool array;
-  trace : Trace.t;
-  series : Trace.series array;
-}
+(* Pins start low and only changes are logged, so a pin's transitions
+   alternate: entry [i] of its log is a rise iff [i] is even. The log is
+   a growable array of transition times, allocated on a pin's first
+   edge: most pins of most machines never toggle. *)
+type log = { mutable times : Time.ns array; mutable len : int }
+
+type t = { engine : Engine.t; levels : bool array; logs : log array }
 
 let create engine =
-  let trace = Trace.create () in
-  let series =
-    Array.init pins (fun i -> Trace.series trace (Printf.sprintf "gpio.%d" i))
-  in
-  { engine; levels = Array.make pins false; trace; series }
+  {
+    engine;
+    levels = Array.make pins false;
+    logs = Array.init pins (fun _ -> { times = [||]; len = 0 });
+  }
 
 let check_pin pin =
   if pin < 0 || pin >= pins then invalid_arg "Gpio: pin out of range"
@@ -23,9 +24,14 @@ let set t ~pin v =
   check_pin pin;
   if t.levels.(pin) <> v then begin
     t.levels.(pin) <- v;
-    Trace.record t.series.(pin)
-      ~time:(Engine.now t.engine)
-      (if v then 1.0 else 0.0)
+    let l = t.logs.(pin) in
+    if l.len = Array.length l.times then begin
+      let times = Array.make (max 64 (2 * l.len)) 0L in
+      Array.blit l.times 0 times 0 l.len;
+      l.times <- times
+    end;
+    l.times.(l.len) <- Engine.now t.engine;
+    l.len <- l.len + 1
   end
 
 let level t ~pin =
@@ -34,21 +40,10 @@ let level t ~pin =
 
 let transitions t ~pin =
   check_pin pin;
-  let s = t.series.(pin) in
-  let times = Trace.times s and vals = Trace.values s in
-  Array.init (Array.length times) (fun i -> (times.(i), vals.(i) > 0.5))
+  let l = t.logs.(pin) in
+  Array.init l.len (fun i -> (l.times.(i), i land 1 = 0))
 
 let high_intervals t ~pin =
-  let trans = transitions t ~pin in
-  let acc = ref [] in
-  let rise = ref None in
-  Array.iter
-    (fun (tm, v) ->
-      match (v, !rise) with
-      | true, None -> rise := Some tm
-      | false, Some r ->
-        acc := (r, tm) :: !acc;
-        rise := None
-      | true, Some _ | false, None -> ())
-    trans;
-  Array.of_list (List.rev !acc)
+  check_pin pin;
+  let l = t.logs.(pin) in
+  Array.init (l.len / 2) (fun k -> (l.times.(2 * k), l.times.((2 * k) + 1)))

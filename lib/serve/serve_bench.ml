@@ -1,22 +1,6 @@
 open Hrt_engine
+module Bench = Hrt_harness.Bench
 module Clock = Hrt_harness.Clock
-
-type result = {
-  sets : int;
-  repeats : int;
-  jobs : int;
-  cold_seconds : float;
-  warm_seconds : float;
-  cold_qps : float;
-  warm_qps : float;
-  warm_speedup : float;
-  batch_qps : float;
-  batch_size : int;
-  identical : bool;
-  shed : int;
-  hits : int;
-  misses : int;
-}
 
 (* Same corpus shape as Admit_bench: 6-12 tasks over near-harmonic
    periods (252 ms lcm), ~50-90% total utilization — a cold query walks
@@ -52,22 +36,22 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 let must = function
   | Ok v -> v
-  | Error msg -> fail "servebench: %s" msg
+  | Error msg -> fail "bench serve: %s" msg
 
 let verdict_payload = function
   | Protocol.Verdicts _ as r -> Protocol.render_reply r
   | Protocol.Error_reply { code; detail } ->
-    fail "servebench: server error %s: %s" code detail
+    fail "bench serve: server error %s: %s" code detail
   | Protocol.Stats_reply _ | Protocol.Draining _ ->
-    fail "servebench: unexpected reply shape"
+    fail "bench serve: unexpected reply shape"
 
 let stats_field reply key =
   match reply with
   | Protocol.Stats_reply kvs -> (
     match List.assoc_opt key kvs with
     | Some v -> int_of_float v
-    | None -> fail "servebench: stats reply missing %s" key)
-  | _ -> fail "servebench: expected a stats reply"
+    | None -> fail "bench serve: stats reply missing %s" key)
+  | _ -> fail "bench serve: expected a stats reply"
 
 let measure ?(seed = 42L) ?(batch_size = 32) ~sets ~repeats ~jobs () =
   let corpus = List.init sets (fun i -> "query " ^ gen_specs ~seed i) in
@@ -87,7 +71,7 @@ let measure ?(seed = 42L) ?(batch_size = 32) ~sets ~repeats ~jobs () =
       (* First contact retries with backoff while the server boots. *)
       (match Client.call ~seed addr "stats" with
       | Ok _ -> ()
-      | Error msg -> fail "servebench: server never came up: %s" msg);
+      | Error msg -> fail "bench serve: server never came up: %s" msg);
       let conn = must (Client.connect addr) in
       Fun.protect
         ~finally:(fun () -> Client.close conn)
@@ -137,100 +121,20 @@ let measure ?(seed = 42L) ?(batch_size = 32) ~sets ~repeats ~jobs () =
           in
           let cold_qps = qps sets cold_seconds in
           let warm_qps = qps (sets * repeats) warm_total in
-          {
-            sets;
-            repeats;
-            jobs;
-            cold_seconds;
-            warm_seconds = warm_total /. float_of_int repeats;
-            cold_qps;
-            warm_qps;
-            warm_speedup = (if cold_qps > 0. then warm_qps /. cold_qps else 0.);
-            batch_qps = qps (sets * repeats) batch_total;
-            batch_size;
-            identical = !identical;
-            shed;
-            hits;
-            misses;
-          }))
-
-(* ---- JSON artifact (same hand-rolled flat style as BENCH_admit) ---- *)
-
-let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"hrt-serve-bench/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"sets\": %d,\n" r.sets);
-  Buffer.add_string b (Printf.sprintf "  \"repeats\": %d,\n" r.repeats);
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" r.jobs);
-  Buffer.add_string b
-    (Printf.sprintf "  \"warm_queries_per_sec\": %.0f,\n" r.warm_qps);
-  Buffer.add_string b
-    (Printf.sprintf "  \"cold_queries_per_sec\": %.0f,\n" r.cold_qps);
-  Buffer.add_string b
-    (Printf.sprintf "  \"warm_speedup_vs_cold\": %.2f,\n" r.warm_speedup);
-  Buffer.add_string b
-    (Printf.sprintf "  \"batch_queries_per_sec\": %.0f,\n" r.batch_qps);
-  Buffer.add_string b (Printf.sprintf "  \"batch_size\": %d,\n" r.batch_size);
-  Buffer.add_string b (Printf.sprintf "  \"identical\": %b,\n" r.identical);
-  Buffer.add_string b (Printf.sprintf "  \"shed\": %d,\n" r.shed);
-  Buffer.add_string b (Printf.sprintf "  \"cache_hits\": %d,\n" r.hits);
-  Buffer.add_string b (Printf.sprintf "  \"cache_misses\": %d\n" r.misses);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let write r ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json r))
-
-let scan_field text key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nlen = String.length needle in
-  let len = String.length text in
-  let rec find from =
-    if from + nlen > len then None
-    else if String.sub text from nlen = needle then Some (from + nlen)
-    else find (from + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < len
-      && (match text.[!stop] with
-         | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-         | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub text start (!stop - start)))
-
-let baseline_warm_qps ~path =
-  if not (Sys.file_exists path) then Error (path ^ ": no such baseline")
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match scan_field text "warm_queries_per_sec" with
-    | Some v when v > 0. -> Ok v
-    | _ -> Error (path ^ ": no warm_queries_per_sec field")
-  end
-
-let check_against r ~path ~tolerance =
-  match baseline_warm_qps ~path with
-  | Error _ as e -> e
-  | Ok base ->
-    let floor = base *. (1. -. tolerance) in
-    if r.warm_qps >= floor then Ok base
-    else
-      Error
-        (Printf.sprintf
-           "warm serving regression: measured %.0f q/s < %.0f (baseline %.0f, \
-            tolerance %.0f%%)"
-           r.warm_qps floor base (100. *. tolerance))
+          let count metric n = Bench.higher metric ~unit:"count" (float_of_int n) in
+          [
+            count "sets" sets;
+            count "repeats" repeats;
+            Bench.higher "warm_queries_per_sec" ~unit:"1/s" warm_qps;
+            Bench.higher "cold_queries_per_sec" ~unit:"1/s" cold_qps;
+            Bench.higher "warm_speedup_vs_cold" ~unit:"ratio"
+              (if cold_qps > 0. then warm_qps /. cold_qps else 0.);
+            Bench.higher "batch_queries_per_sec" ~unit:"1/s"
+              (qps (sets * repeats) batch_total);
+            count "batch_size" batch_size;
+            Bench.higher "identical" ~unit:"flag"
+              (if !identical then 1. else 0.);
+            Bench.lower "shed" ~unit:"count" (float_of_int shed);
+            count "cache_hits" hits;
+            Bench.lower "cache_misses" ~unit:"count" (float_of_int misses);
+          ]))

@@ -226,6 +226,25 @@ let test_gpio_bad_pin () =
   Alcotest.check_raises "pin range" (Invalid_argument "Gpio: pin out of range")
     (fun () -> Gpio.set gpio ~pin:8 true)
 
+let test_gpio_growth () =
+  let eng = Engine.create () in
+  let gpio = Gpio.create eng in
+  for i = 1 to 1000 do
+    ignore
+      (Engine.schedule eng ~at:(Int64.of_int i) (fun _ ->
+           Gpio.set gpio ~pin:2 (i mod 2 = 1)))
+  done;
+  Engine.run eng;
+  let trans = Gpio.transitions gpio ~pin:2 in
+  Alcotest.(check int) "every edge kept" 1000 (Array.length trans);
+  Alcotest.(check bool) "first and last" true
+    (trans.(0) = (1L, true) && trans.(999) = (1000L, false));
+  let ivs = Gpio.high_intervals gpio ~pin:2 in
+  Alcotest.(check int) "pulses" 500 (Array.length ivs);
+  Alcotest.(check bool) "last pulse" true (ivs.(499) = (999L, 1000L));
+  Alcotest.(check int) "other pins untouched" 0
+    (Array.length (Gpio.transitions gpio ~pin:0))
+
 (* ---- Irq ---- *)
 
 let test_irq_steering_round_robin () =
@@ -359,6 +378,7 @@ let suite =
     Alcotest.test_case "gpio transitions" `Quick test_gpio_transitions;
     Alcotest.test_case "gpio high intervals" `Quick test_gpio_intervals;
     Alcotest.test_case "gpio pin bounds" `Quick test_gpio_bad_pin;
+    Alcotest.test_case "gpio log grows past capacity" `Quick test_gpio_growth;
     Alcotest.test_case "irq steering round robin" `Quick test_irq_steering_round_robin;
     Alcotest.test_case "irq stop" `Quick test_irq_stop;
     Alcotest.test_case "irq empty steering rejected" `Quick test_irq_empty_steer;

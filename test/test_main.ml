@@ -5,7 +5,6 @@ let () =
       ("rng", Test_rng.suite);
       ("event_queue", Test_event_queue.suite);
       ("engine", Test_engine.suite);
-      ("trace", Test_trace.suite);
       ("stats", Test_stats.suite);
       ("par", Test_par.suite);
       ("obs", Test_obs.suite);
@@ -30,4 +29,5 @@ let () =
       ("lint", Test_lint.suite);
       ("admit", Test_admit.suite);
       ("serve", Test_serve.suite);
+      ("bench", Test_bench.suite);
     ]
