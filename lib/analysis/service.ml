@@ -44,13 +44,10 @@ let create ?(shards = 8) ?(capacity = 1024) () =
     evictions = Atomic.make 0;
   }
 
-(* Shard choice folds the fingerprint's own hex digits instead of
-   [Hashtbl.hash], so the mapping is fixed by the key alone — stable
-   across runs, domains, and compiler versions. *)
-let shard_of t key =
-  let h = ref 0 in
-  String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) key;
-  t.shards.(!h mod Array.length t.shards)
+(* The key is a raw MD5 digest, so its first byte is already uniform:
+   the mapping is fixed by the key alone — stable across runs, domains,
+   and compiler versions. *)
+let shard_of t key = t.shards.(Char.code key.[0] mod Array.length t.shards)
 
 (* Insert under the shard lock, evicting FIFO at capacity. Single-flight
    guarantees one insert per distinct computation, so the eviction queue
@@ -129,11 +126,49 @@ let query t ts =
   let s = shard_of t key in
   query_key t s key ts
 
+(* A lookup that only counts when it hits: a miss is counted by the
+   [query_key] that later computes (or single-flight waits for) it. *)
+let lookup t key =
+  let s = shard_of t key in
+  match Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.table key) with
+  | Some _ as r ->
+    Atomic.incr t.hits;
+    r
+  | None -> None
+
+(* Hits are answered on the calling domain; only the distinct misses go
+   through [query_key], fanned out when a pool is given ([Par.map] spawns
+   nothing at [jobs = 1] or for a single miss). A repeat of a miss within
+   the batch takes its twin's result and counts a hit, as single-flight
+   would. Every step but the analyses runs on the caller in submission
+   order, so results and counters are the same at any job count. *)
 let batch ?pool t tasksets =
-  match pool with
-  | Some pool when Par.Pool.jobs pool > 1 ->
-    Par.map_list pool (query t) tasksets
-  | _ -> List.map (query t) tasksets
+  let sets = Array.of_list tasksets in
+  let keys = Array.map Taskset.fingerprint sets in
+  let found = Array.map (lookup t) keys in
+  let first = Hashtbl.create 8 in
+  let misses = ref [] in
+  Array.iteri
+    (fun i r ->
+      if Option.is_none r && not (Hashtbl.mem first keys.(i)) then begin
+        Hashtbl.replace first keys.(i) i;
+        misses := i :: !misses
+      end)
+    found;
+  let misses = Array.of_list (List.rev !misses) in
+  let analyze i = query_key t (shard_of t keys.(i)) keys.(i) sets.(i) in
+  let computed =
+    match pool with
+    | Some pool -> Par.map pool analyze misses
+    | None -> Array.map analyze misses
+  in
+  Array.iteri (fun j i -> found.(i) <- Some computed.(j)) misses;
+  List.init (Array.length sets) (fun i ->
+      match found.(i) with
+      | Some r -> r
+      | None ->
+        Atomic.incr t.hits;
+        Option.get found.(Hashtbl.find first keys.(i)))
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

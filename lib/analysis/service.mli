@@ -27,9 +27,12 @@ val query : t -> Taskset.t -> Oracle.result
     cache statistics are identical at any job count. *)
 
 val batch : ?pool:Par.Pool.t -> t -> Taskset.t list -> Oracle.result list
-(** [query] over the list, in submission order. With a [pool] the queries
-    fan across its domains ({!Hrt_par.Par.map_list}); results are
-    order-preserving and identical to the sequential run. *)
+(** [query] over the list, in submission order. Every set is
+    fingerprinted and looked up on the calling domain; only the distinct
+    misses are analyzed, fanned across the [pool]'s domains
+    ({!Hrt_par.Par.map}) when there are at least two of them. A set that
+    repeats a miss of the same batch counts a hit. Results and hit/miss
+    totals are identical to the sequential run at any job count. *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

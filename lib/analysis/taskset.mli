@@ -42,12 +42,17 @@ val raw_view : policy:Config.policy -> Constraints.t list -> t
     certificate under this view means no schedule exists at all. *)
 
 val canonical : t -> string
-(** A canonical textual form: analysis-relevant configuration fields
-    followed by the multiset of per-task tokens in sorted order. Two task
-    sets that differ only by task order (or by analysis-irrelevant fields
-    such as periodic phases) have equal canonical forms. *)
+(** A canonical binary form: the analysis-relevant configuration fields
+    (policy and admission-mode tags, the three capacity fractions as IEEE
+    bits, the two switches, [min_period], [min_slice], and the overhead),
+    then one fixed-width [(kind, a, b)] record per task in sorted order.
+    Two task sets that differ only by task order, or by
+    analysis-irrelevant fields (periodic phases, aperiodic priorities, a
+    shift of a sporadic's phase and deadline together), have equal
+    canonical forms. *)
 
 val fingerprint : t -> string
-(** Hex digest of {!canonical} — the {!Service} cache key. *)
+(** The raw 16-byte MD5 digest of {!canonical}: the {!Service} cache
+    key. *)
 
 val pp : Format.formatter -> t -> unit

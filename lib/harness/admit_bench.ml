@@ -58,16 +58,17 @@ let measure ?(seed = 42L) ~sets ~repeats ~jobs () =
   let qps n seconds = if seconds > 0. then float_of_int n /. seconds else 0. in
   let cold_qps = qps sets cold_seconds in
   let warm_qps = qps (sets * repeats) warm_total in
+  let par_qps = qps (sets * repeats) par_total in
+  let ratio a b = if b > 0. then a /. b else 0. in
   let count metric n = Bench.higher metric ~unit:"count" (float_of_int n) in
   [
     count "sets" sets;
     count "repeats" repeats;
     Bench.higher "warm_queries_per_sec" ~unit:"1/s" warm_qps;
     Bench.higher "cold_queries_per_sec" ~unit:"1/s" cold_qps;
-    Bench.higher "warm_speedup_vs_cold" ~unit:"ratio"
-      (if cold_qps > 0. then warm_qps /. cold_qps else 0.);
-    Bench.higher "par_queries_per_sec" ~unit:"1/s"
-      (qps (sets * repeats) par_total);
+    Bench.higher "warm_speedup_vs_cold" ~unit:"ratio" (ratio warm_qps cold_qps);
+    Bench.higher "par_queries_per_sec" ~unit:"1/s" par_qps;
+    Bench.higher "par_vs_warm" ~unit:"ratio" (ratio par_qps warm_qps);
     Bench.higher "identical" ~unit:"flag"
       (if par_results = seq_results then 1. else 0.);
     count "cache_hits" stats.Service.hits;

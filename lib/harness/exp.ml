@@ -9,13 +9,15 @@ let scale_of_env () =
 
 let cpus scale quick full = match scale with Quick -> quick | Full -> full
 
-let jobs_of_env () =
-  match Sys.getenv_opt "HRT_JOBS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
+let resolve_jobs ?(default = 1) flag env =
+  match flag with
+  | Some n -> n
+  | None -> (
+    match Option.bind env (fun s -> int_of_string_opt (String.trim s)) with
     | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
+    | Some _ | None -> default)
+
+let jobs_of_env () = resolve_jobs None (Sys.getenv_opt "HRT_JOBS")
 
 module Ctx = struct
   type t = {

@@ -13,6 +13,11 @@ val scale_of_env : unit -> scale
 val cpus : scale -> int -> int -> int
 (** [cpus scale quick full] picks a worker count. *)
 
+val resolve_jobs : ?default:int -> int option -> string option -> int
+(** [resolve_jobs ?default flag env]: a [--jobs] [flag] as given, else
+    [env] (the [HRT_JOBS] value) when it is a positive integer, else
+    [default] (1, sequential). *)
+
 val jobs_of_env : unit -> int
 (** Parallel sweep width from the [HRT_JOBS] environment variable;
     [1] (sequential) when unset or unparsable. *)

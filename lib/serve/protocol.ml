@@ -61,30 +61,57 @@ module Decoder = struct
 
   type state = Header | Body of int | Failed of error
 
+  (* Unconsumed input is [buf.[pos .. len - 1]]. Frames are taken by
+     advancing [pos]; the consumed prefix is dropped only when a [feed]
+     runs out of room at the end, so k frames in one read cost at most
+     one copy of the remainder, not k. *)
   type t = {
-    mutable acc : Buffer.t;
+    mutable buf : bytes;
+    mutable pos : int;
+    mutable len : int;
     mutable state : state;
     max_frame : int;
   }
 
   let create ?(max_frame = default_max_frame) () =
-    { acc = Buffer.create 256; state = Header; max_frame }
+    { buf = Bytes.create 256; pos = 0; len = 0; state = Header; max_frame }
 
-  let feed t b off len =
+  let available t = t.len - t.pos
+
+  let append t blit src off n =
     match t.state with
     | Failed _ -> ()
-    | Header | Body _ -> Buffer.add_subbytes t.acc b off len
+    | Header | Body _ ->
+      if t.len + n > Bytes.length t.buf then begin
+        let live = available t in
+        let dst =
+          if live + n <= Bytes.length t.buf then t.buf
+          else Bytes.create (Stdlib.max (live + n) (2 * Bytes.length t.buf))
+        in
+        Bytes.blit t.buf t.pos dst 0 live;
+        t.buf <- dst;
+        t.pos <- 0;
+        t.len <- live
+      end;
+      blit src off t.buf t.len n;
+      t.len <- t.len + n
 
-  let feed_string t s =
-    match t.state with
-    | Failed _ -> ()
-    | Header | Body _ -> Buffer.add_string t.acc s
+  let feed t b off len = append t Bytes.blit b off len
+  let feed_string t s = append t Bytes.blit_string s 0 (String.length s)
 
-  let consume t n =
-    let rest = Buffer.sub t.acc n (Buffer.length t.acc - n) in
-    let acc = Buffer.create (Stdlib.max 256 (String.length rest)) in
-    Buffer.add_string acc rest;
-    t.acc <- acc
+  let take t n =
+    let s = Bytes.sub_string t.buf t.pos n in
+    t.pos <- t.pos + n;
+    if t.pos = t.len then begin
+      t.pos <- 0;
+      t.len <- 0
+    end;
+    s
+
+  let rec newline_at t i stop =
+    if i >= stop then -1
+    else if Bytes.get t.buf i = '\n' then i - t.pos
+    else newline_at t (i + 1) stop
 
   let fail t e =
     t.state <- Failed e;
@@ -93,20 +120,12 @@ module Decoder = struct
   (* The header is complete when its newline is in the buffer; anything
      longer than [max_header] without one has lost framing. *)
   let try_header t =
-    let len = Buffer.length t.acc in
+    let len = available t in
     let limit = Stdlib.min len max_header in
-    let nl = ref (-1) in
-    (try
-       for i = 0 to limit - 1 do
-         if Buffer.nth t.acc i = '\n' then begin
-           nl := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !nl < 0 then
+    let nl = newline_at t t.pos (t.pos + limit) in
+    if nl < 0 then
       if len >= max_header then
-        let prefix = Buffer.sub t.acc 0 (Stdlib.min len max_header) in
+        let prefix = Bytes.sub_string t.buf t.pos max_header in
         if
           len >= String.length magic + 1
           && String.sub prefix 0 (String.length magic + 1) <> magic ^ " "
@@ -114,7 +133,7 @@ module Decoder = struct
         else fail t (Bad_length prefix)
       else `Await
     else begin
-      let header = Buffer.sub t.acc 0 !nl in
+      let header = Bytes.sub_string t.buf t.pos nl in
       let tag = magic ^ " " in
       if
         String.length header < String.length tag
@@ -130,7 +149,7 @@ module Decoder = struct
           if n > t.max_frame then
             fail t (Frame_too_large { len = n; max = t.max_frame })
           else begin
-            consume t (!nl + 1);
+            t.pos <- t.pos + nl + 1;
             t.state <- Body n;
             `Header
           end
@@ -147,21 +166,19 @@ module Decoder = struct
       | `Error e -> `Error e
       | `Header -> next t)
     | Body n ->
-      if Buffer.length t.acc < n then `Await
+      if available t < n then `Await
       else begin
-        let payload = Buffer.sub t.acc 0 n in
-        consume t n;
         t.state <- Header;
-        `Frame payload
+        `Frame (take t n)
       end
 
   let eof t =
     match t.state with
     | Failed e -> `Error e
-    | Body n -> `Error (Truncated { wanted = n; got = Buffer.length t.acc })
+    | Body n -> `Error (Truncated { wanted = n; got = available t })
     | Header ->
-      if Buffer.length t.acc = 0 then `Clean
-      else `Error (Truncated { wanted = 0; got = Buffer.length t.acc })
+      if available t = 0 then `Clean
+      else `Error (Truncated { wanted = 0; got = available t })
 end
 
 (* ---- requests ---- *)

@@ -121,6 +121,8 @@ let measure ?(seed = 42L) ?(batch_size = 32) ~sets ~repeats ~jobs () =
           in
           let cold_qps = qps sets cold_seconds in
           let warm_qps = qps (sets * repeats) warm_total in
+          let batch_qps = qps (sets * repeats) batch_total in
+          let ratio a b = if b > 0. then a /. b else 0. in
           let count metric n = Bench.higher metric ~unit:"count" (float_of_int n) in
           [
             count "sets" sets;
@@ -128,9 +130,10 @@ let measure ?(seed = 42L) ?(batch_size = 32) ~sets ~repeats ~jobs () =
             Bench.higher "warm_queries_per_sec" ~unit:"1/s" warm_qps;
             Bench.higher "cold_queries_per_sec" ~unit:"1/s" cold_qps;
             Bench.higher "warm_speedup_vs_cold" ~unit:"ratio"
-              (if cold_qps > 0. then warm_qps /. cold_qps else 0.);
-            Bench.higher "batch_queries_per_sec" ~unit:"1/s"
-              (qps (sets * repeats) batch_total);
+              (ratio warm_qps cold_qps);
+            Bench.higher "batch_queries_per_sec" ~unit:"1/s" batch_qps;
+            Bench.higher "batch_vs_single" ~unit:"ratio"
+              (ratio batch_qps warm_qps);
             count "batch_size" batch_size;
             Bench.higher "identical" ~unit:"flag"
               (if !identical then 1. else 0.);

@@ -14,8 +14,9 @@
 
     The warm replies are compared byte-for-byte to the cold ones
     ([identical]); the headline [warm_queries_per_sec] backs the CI
-    regression gate ([BENCH_serve.json]), and [warm_speedup_vs_cold]
-    backs the ≥ 5x serving-memoization floor. *)
+    regression gate ([BENCH_serve.json]), [warm_speedup_vs_cold] backs
+    the ≥ 5x serving-memoization floor, and [batch_vs_single] the ≥ 1
+    floor: a warm batch frame must not serve slower than single queries. *)
 
 val measure :
   ?seed:int64 -> ?batch_size:int -> sets:int -> repeats:int -> jobs:int ->
@@ -23,6 +24,6 @@ val measure :
 (** Rows: [sets], [repeats], [warm_queries_per_sec],
     [cold_queries_per_sec], [warm_speedup_vs_cold] (warm over cold),
     [batch_queries_per_sec] (warm passes, [batch_size] sets per frame),
-    [batch_size], [identical] (1 when every warm reply equals its cold
+    [batch_vs_single] (batch over warm), [batch_size], [identical] (1 when every warm reply equals its cold
     reply byte for byte), [shed] (sets the server answered [overloaded];
     expect 0), [cache_hits] and [cache_misses]. *)

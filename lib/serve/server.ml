@@ -19,7 +19,7 @@ let default_config =
     policy = Config.Edf;
     platform = Hrt_hw.Platform.phi;
     raw = false;
-    jobs = 4;
+    jobs = Stdlib.min 4 (Domain.recommended_domain_count ());
     max_queue = 256;
     max_batch = 64;
     max_frame = Protocol.default_max_frame;
@@ -34,8 +34,9 @@ type slot = { mutable reply : string option }
 type conn = {
   fd : Unix.file_descr;
   dec : Protocol.Decoder.t;
-  out : Buffer.t;
-  mutable out_pos : int;  (* bytes of [out] already written *)
+  out : Buffer.t;  (* flushed replies not yet moved to [sending] *)
+  mutable sending : string;  (* the bytes being written to the socket *)
+  mutable sent : int;  (* bytes of [sending] already written *)
   slots : slot Queue.t;
   mutable reading : bool;  (* false after EOF or a fatal framing error *)
   mutable fatal : bool;  (* close once slots are answered and flushed *)
@@ -338,8 +339,13 @@ let close_conn t conn =
   end;
   ignore t
 
+let has_output conn =
+  conn.sent < String.length conn.sending || Buffer.length conn.out > 0
+
 (* Move answered slots (in request order) into the outgoing buffer, then
-   push as much of it as the socket accepts. *)
+   push as much as the socket accepts. Each byte is copied once, from
+   [out] into [sending]: a client that reads slowly costs a write call
+   per pass, not a copy of everything it is owed. *)
 let flush_conn t conn =
   let rec promote () =
     match Queue.peek_opt conn.slots with
@@ -351,16 +357,16 @@ let flush_conn t conn =
     | Some { reply = None } | None -> ()
   in
   promote ();
-  let pending = Buffer.length conn.out - conn.out_pos in
+  if conn.sent = String.length conn.sending && Buffer.length conn.out > 0
+  then begin
+    conn.sending <- Buffer.contents conn.out;
+    conn.sent <- 0;
+    Buffer.clear conn.out
+  end;
+  let pending = String.length conn.sending - conn.sent in
   if pending > 0 then begin
-    let payload = Buffer.to_bytes conn.out in
-    match Unix.write conn.fd payload conn.out_pos pending with
-    | n ->
-      conn.out_pos <- conn.out_pos + n;
-      if conn.out_pos = Buffer.length conn.out then begin
-        Buffer.clear conn.out;
-        conn.out_pos <- 0
-      end
+    match Unix.write_substring conn.fd conn.sending conn.sent pending with
+    | n -> conn.sent <- conn.sent + n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) ->
       (* Peer vanished mid-reply: nothing more can be delivered. *)
@@ -368,8 +374,7 @@ let flush_conn t conn =
       close_conn t conn
   end
 
-let conn_flushed conn =
-  Queue.is_empty conn.slots && Buffer.length conn.out = conn.out_pos
+let conn_flushed conn = Queue.is_empty conn.slots && not (has_output conn)
 
 let scratch = 8192
 
@@ -431,7 +436,8 @@ let accept_ready t fd =
           fd = cfd;
           dec = Protocol.Decoder.create ~max_frame:t.cfg.max_frame ();
           out = Buffer.create 256;
-          out_pos = 0;
+          sending = "";
+          sent = 0;
           slots = Queue.create ();
           reading = true;
           fatal = false;
@@ -504,7 +510,7 @@ let run ?(install_sigterm = false) t =
     let wfds =
       List.filter_map
         (fun c ->
-          if c.open_ && Buffer.length c.out > c.out_pos then Some c.fd
+          if c.open_ && has_output c then Some c.fd
           else None)
         t.conns
     in

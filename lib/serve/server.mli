@@ -4,9 +4,10 @@
     {!Hrt_analysis.Service}: clients connect over a Unix-domain socket
     (and optionally TCP on localhost), speak {!Protocol} frames, and get
     one reply per request. Requests land in a bounded FIFO queue drained
-    in batches through [Service.batch], fanning analyses across a
-    {!Hrt_par.Par.Pool} — so a burst of distinct task sets uses every
-    worker domain while repeats are cache hits.
+    in batches through [Service.batch]: cache hits are answered on the
+    serving loop's own domain, and only a batch's distinct misses fan
+    across a {!Hrt_par.Par.Pool}, so a burst of new task sets uses the
+    worker domains while a batch of repeats spawns none.
 
     The server applies admission-themed backpressure to {e itself}
     rather than stalling or dropping connections:
@@ -34,7 +35,8 @@ type config = {
   policy : Config.policy;
   platform : Hrt_hw.Platform.t;
   raw : bool;  (** analyze the raw-feasibility view instead of production *)
-  jobs : int;  (** worker-domain fan-out for each dispatch batch *)
+  jobs : int;
+      (** worker domains for a dispatch batch's distinct cache misses *)
   max_queue : int;  (** queued requests beyond which queries are shed *)
   max_batch : int;  (** requests served per dispatch batch *)
   max_frame : int;  (** per-frame payload cap handed to the {!Protocol.Decoder} *)
@@ -43,7 +45,8 @@ type config = {
 }
 
 val default_config : config
-(** EDF, phi, production view, jobs 4, max_queue 256, max_batch 64,
+(** EDF, phi, production view, jobs [min 4] of the host's recommended
+    domain count, max_queue 256, max_batch 64,
     {!Protocol.default_max_frame}, no default deadline. *)
 
 type t

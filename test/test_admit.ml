@@ -199,6 +199,106 @@ let test_fingerprint_permutation () =
   Alcotest.(check bool) "policy is part of the key" true
     (g Config.Edf <> g Config.Rm)
 
+(* Changing one analysis-relevant field alone changes the key. Each
+   entry is a field and the edits to try on the base set. *)
+let key_base =
+  production [ p ~period_us:100 ~slice_us:20; p ~period_us:200 ~slice_us:50 ]
+
+let with_config f =
+  Taskset.make ~config:(f key_base.Taskset.config)
+    ~overhead_ns:key_base.Taskset.overhead_ns key_base.Taskset.tasks
+
+let key_fields =
+  let d = Config.default in
+  [
+    ("policy", [ with_config (fun c -> { c with Config.policy = Config.Rm }) ]);
+    ( "admission",
+      [ with_config (fun c -> { c with Config.admission = Config.Hyperperiod_sim }) ] );
+    (* 0.99 and 0.99 + 4e-10 print alike under %.9f, which the text key
+       used; the binary key tells them apart. *)
+    ( "util_limit",
+      List.map
+        (fun v -> with_config (fun c -> { c with Config.util_limit = v }))
+        [ 0.5; d.Config.util_limit +. 4e-10 ] );
+    ( "sporadic_reservation",
+      [ with_config (fun c -> { c with Config.sporadic_reservation = 0.2 }) ] );
+    ( "aperiodic_reservation",
+      [ with_config (fun c -> { c with Config.aperiodic_reservation = 0.2 }) ] );
+    ( "admission_control",
+      [ with_config (fun c -> { c with Config.admission_control = false }) ] );
+    ( "strict_reservations",
+      [ with_config (fun c -> { c with Config.strict_reservations = false }) ] );
+    ( "min_period",
+      [ with_config (fun c -> { c with Config.min_period = Time.us 3 }) ] );
+    ( "min_slice",
+      [ with_config (fun c -> { c with Config.min_slice = Time.ns 600 }) ] );
+    ( "overhead_ns",
+      [
+        Taskset.make ~config:key_base.Taskset.config
+          ~overhead_ns:(Int64.succ phi_overhead) key_base.Taskset.tasks;
+      ] );
+  ]
+
+let test_key_field edits () =
+  let base = Taskset.fingerprint key_base in
+  List.iter
+    (fun ts ->
+      Alcotest.(check bool) "field is part of the key" true
+        (Taskset.fingerprint ts <> base))
+    edits
+
+(* Fields no analysis reads stay out of the key, and the key is a raw
+   16-byte digest. *)
+let test_key_ignores () =
+  let f tasks = Taskset.fingerprint (production tasks) in
+  let per = p ~period_us:300 ~slice_us:40 in
+  Alcotest.(check string) "aperiodic priority"
+    (f [ per; Constraints.aperiodic ~prio:0 () ])
+    (f [ per; Constraints.aperiodic ~prio:7 () ]);
+  Alcotest.(check string) "periodic phase" (f [ per ])
+    (f
+       [
+         Constraints.periodic ~phase:(Time.us 37) ~period:(Time.us 300)
+           ~slice:(Time.us 40) ();
+       ]);
+  let spor ~phase ~deadline =
+    Constraints.sporadic ~phase:(Time.us phase) ~size:(Time.us 50)
+      ~deadline:(Time.us deadline) ()
+  in
+  Alcotest.(check string) "sporadic (phase, deadline) shift"
+    (f [ per; spor ~phase:100 ~deadline:400 ])
+    (f [ per; spor ~phase:350 ~deadline:650 ]);
+  Alcotest.(check bool) "a different sporadic window differs" true
+    (f [ per; spor ~phase:100 ~deadline:400 ]
+    <> f [ per; spor ~phase:100 ~deadline:401 ]);
+  Alcotest.(check int) "16-byte key" 16 (String.length (f [ per ]))
+
+let gen_task =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun prio -> Constraints.aperiodic ~prio ()) (int_bound 9);
+        map2
+          (fun period_us slice_us ->
+            p ~period_us:(period_us + 1) ~slice_us:(1 + (slice_us mod (period_us + 1))))
+          (int_bound 999) (int_bound 999);
+        map3
+          (fun phase size lax ->
+            Constraints.sporadic ~phase:(Time.us phase) ~size:(Time.us (size + 1))
+              ~deadline:(Time.us (phase + size + 1 + lax)) ())
+          (int_bound 500) (int_bound 100) (int_bound 500);
+      ])
+
+let prop_key_permutation =
+  QCheck.Test.make ~name:"fingerprint permutation invariant" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 12) gen_task >>= fun tasks ->
+         map (fun perm -> (tasks, perm)) (shuffle_l tasks)))
+    (fun (tasks, perm) ->
+      Taskset.fingerprint (production tasks)
+      = Taskset.fingerprint (production perm))
+
 (* ---- service cache ---- *)
 
 let corpus ~n ~seed =
@@ -319,6 +419,41 @@ let test_cache_stats_job_invariant () =
   Alcotest.(check int) "same hits" s1.Service.hits s4.Service.hits;
   Alcotest.(check int) "same entries" s1.Service.entries s4.Service.entries
 
+(* A batch of warm hits, distinct misses, and one new set twice: hits are
+   answered on the caller, the misses fan out, and the repeat counts a
+   hit — identically at every job count. *)
+let test_batch_mixed_job_invariant () =
+  let warm = corpus ~n:6 ~seed:31L in
+  let fresh = corpus ~n:4 ~seed:37L in
+  let twice =
+    production [ p ~period_us:640 ~slice_us:90; p ~period_us:880 ~slice_us:150 ]
+  in
+  let nth = List.nth in
+  let mix =
+    [ nth warm 0; nth fresh 0; twice; nth warm 1; nth fresh 1; nth warm 2;
+      twice; nth fresh 2; nth warm 3; nth fresh 3; nth warm 4; nth warm 5 ]
+  in
+  let expect = List.map Oracle.analyze mix in
+  let run jobs =
+    let svc = Service.create () in
+    ignore (Service.batch svc warm);
+    let results =
+      Service.batch ~pool:(Hrt_par.Par.Pool.create ~jobs) svc mix
+    in
+    (results, Service.stats svc)
+  in
+  List.iter
+    (fun jobs ->
+      let results, s = run jobs in
+      let name what = Printf.sprintf "jobs=%d %s" jobs what in
+      Alcotest.(check bool) (name "results in order") true (results = expect);
+      Alcotest.(check int) (name "misses: warm-up, fresh, twice") 11
+        s.Service.misses;
+      Alcotest.(check int) (name "hits: warm sets and the repeat") 7
+        s.Service.hits;
+      Alcotest.(check int) (name "entries") 11 s.Service.entries)
+    [ 1; 2; 4 ]
+
 let test_service_probes () =
   let sink = Hrt_obs.Sink.create ~trace:false () in
   let svc = Service.create () in
@@ -430,6 +565,15 @@ let suite =
       test_golden_feasibility_edge;
     Alcotest.test_case "fingerprint canonicalization" `Quick
       test_fingerprint_permutation;
+  ]
+  @ List.map
+      (fun (field, edits) ->
+        Alcotest.test_case ("key includes " ^ field) `Quick
+          (test_key_field edits))
+      key_fields
+  @ [
+    Alcotest.test_case "key ignores phase and priority" `Quick test_key_ignores;
+    to_alcotest prop_key_permutation;
     Alcotest.test_case "cache warm equals cold" `Quick
       test_cache_warm_equals_cold;
     Alcotest.test_case "cache eviction FIFO" `Quick test_cache_eviction_fifo;
@@ -437,6 +581,8 @@ let suite =
     Alcotest.test_case "cache single-flight" `Quick test_cache_single_flight;
     Alcotest.test_case "cache stats job-invariant" `Quick
       test_cache_stats_job_invariant;
+    Alcotest.test_case "mixed batch job-invariant" `Quick
+      test_batch_mixed_job_invariant;
     Alcotest.test_case "cache probes exported" `Quick test_service_probes;
     Alcotest.test_case "verdict combine API" `Quick test_verdict_api;
     Alcotest.test_case "rejection names stable" `Quick

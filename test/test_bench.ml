@@ -85,6 +85,8 @@ let base_rows =
     Bench.lower "latency" ~unit:"us" 100.;
     Bench.higher "warm_speedup_vs_cold" ~unit:"ratio" 22.65;
     Bench.higher "identical" ~unit:"flag" 1.;
+    Bench.higher "par_vs_warm" ~unit:"ratio" 1.;
+    Bench.higher "batch_vs_single" ~unit:"ratio" 2.;
   ]
 
 let baseline = doc base_rows
@@ -108,18 +110,26 @@ let test_gate_lower () =
     (passes ~gated ~baseline (run (Float.succ 120.)));
   Alcotest.(check bool) "faster passes" true (passes ~gated ~baseline (run 1.))
 
+(* The suites' floors: admit and serve warm/cold speedups, admit's
+   parallel over sequential warm throughput, serve's batch over single. *)
 let test_floors () =
-  let run v = doc (with_value base_rows "warm_speedup_vs_cold" v) in
   List.iter
-    (fun floor ->
-      let floors = [ ("warm_speedup_vs_cold", floor) ] in
-      Alcotest.(check bool) "at the floor passes" true
+    (fun (metric, floor) ->
+      let run v = doc (with_value base_rows metric v) in
+      let floors = [ (metric, floor) ] in
+      Alcotest.(check bool) (metric ^ " at the floor passes") true
         (passes ~floors ~baseline (run floor));
-      Alcotest.(check bool) "below the floor fails" false
+      Alcotest.(check bool) (metric ^ " just below the floor fails") false
         (passes ~floors ~baseline (run (Float.pred floor))))
-    [ 10.; 5. ];
+    [
+      ("warm_speedup_vs_cold", 10.);
+      ("warm_speedup_vs_cold", 5.);
+      ("par_vs_warm", 0.8);
+      ("batch_vs_single", 1.);
+    ];
   Alcotest.(check bool) "floors need a baseline" true
-    (passes ~floors:[ ("warm_speedup_vs_cold", 10.) ] (run 1.))
+    (passes ~floors:[ ("warm_speedup_vs_cold", 10.) ]
+       (doc (with_value base_rows "warm_speedup_vs_cold" 1.)))
 
 let test_identical () =
   let run = doc (with_value base_rows "identical" 0.) in
@@ -163,8 +173,12 @@ let test_committed () =
         (passes ~gated ~baseline:t t))
     [
       ("engine", [ "wheel_events_per_sec" ]);
-      ("admit", [ "warm_queries_per_sec"; "warm_speedup_vs_cold"; "identical" ]);
-      ("serve", [ "warm_queries_per_sec"; "warm_speedup_vs_cold"; "identical" ]);
+      ( "admit",
+        [ "warm_queries_per_sec"; "warm_speedup_vs_cold"; "par_vs_warm";
+          "identical" ] );
+      ( "serve",
+        [ "warm_queries_per_sec"; "warm_speedup_vs_cold"; "batch_vs_single";
+          "identical" ] );
     ]
 
 let suite =

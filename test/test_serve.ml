@@ -74,6 +74,34 @@ let test_decoder_errors () =
   | `Error e -> Alcotest.failf "wrong eof error: %s" (P.describe_error e)
   | `Clean -> Alcotest.fail "eof mid-frame must be an error"
 
+(* Many frames in one read come back whole and in order, and so does the
+   same stream cut into the server's 8 KiB reads. *)
+let test_decoder_many_frames () =
+  let payloads =
+    List.init 1000 (fun i ->
+        String.init (i mod 97) (fun j -> Char.chr (((i * 31) + (j * 7)) land 255)))
+  in
+  let wire = String.concat "" (List.map P.frame payloads) in
+  let dec = P.Decoder.create () in
+  P.Decoder.feed_string dec wire;
+  let got, last = drain_frames dec in
+  Alcotest.(check (list string)) "one feed" payloads got;
+  Alcotest.(check bool) "then awaits" true (last = `Await);
+  Alcotest.(check bool) "clean eof" true (P.Decoder.eof dec = `Clean);
+  let dec = P.Decoder.create () in
+  let got = ref [] in
+  let chunk = 8192 in
+  let rec go off =
+    if off < String.length wire then begin
+      P.Decoder.feed_string dec
+        (String.sub wire off (Stdlib.min chunk (String.length wire - off)));
+      got := List.rev_append (fst (drain_frames dec)) !got;
+      go (off + chunk)
+    end
+  in
+  go 0;
+  Alcotest.(check (list string)) "8 KiB feeds" payloads (List.rev !got)
+
 (* Any byte stream, fed in any chunking, never raises and never loops:
    the decoder either yields frames, awaits more, or fails sticky. *)
 let prop_decoder_total =
@@ -360,6 +388,83 @@ let test_drain_under_load () =
           done;
           Alcotest.(check int) "exactly one reply per request" n !replies))
 
+(* A client that pipelines a few hundred kilobytes of replies, lets the
+   server answer every set before reading (so the socket fills and the
+   server holds the rest), then reads one byte at a time: the server's
+   writes come up short, and every reply still arrives whole and in
+   order. *)
+let test_slow_reader () =
+  let a = [ "P:1000:300" ] and b = [ "P:1000:900" ] in
+  let va = direct_verdict a and vb = direct_verdict b in
+  let n = 800 in
+  let sets k =
+    List.init (1 + (k mod 50)) (fun i -> if (k + i) mod 3 = 0 then b else a)
+  in
+  let total_sets = List.fold_left ( + ) 0 (List.init n (fun k -> List.length (sets k))) in
+  let wire =
+    String.concat ""
+      (List.init n (fun k ->
+           P.frame
+             ("batch " ^ String.concat " ; " (List.map (String.concat " ") (sets k)))))
+  in
+  with_server ~cfg:{ quiet_cfg with Server.max_queue = n } (fun addr _ ->
+      let path =
+        match addr with
+        | Client.Unix_path path -> path
+        | Client.Tcp _ -> Alcotest.fail "expected a Unix socket"
+      in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          ignore (Unix.write_substring fd wire 0 (String.length wire));
+          let rec await_served () =
+            match must (Client.call addr "stats") with
+            | P.Stats_reply kvs
+              when List.assoc_opt "served" kvs = Some (float_of_int total_sets) ->
+              ()
+            | P.Stats_reply _ -> await_served ()
+            | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r)
+          in
+          await_served ();
+          let dec = P.Decoder.create () in
+          let byte = Bytes.create 1 in
+          let rec reply () =
+            match P.Decoder.next dec with
+            | `Frame payload -> payload
+            | `Error e -> Alcotest.failf "reply unframed: %s" (P.describe_error e)
+            | `Await ->
+              if Unix.read fd byte 0 1 = 0 then
+                Alcotest.fail "connection closed before every reply";
+              P.Decoder.feed dec byte 0 1;
+              reply ()
+          in
+          for k = 0 to n - 1 do
+            match P.parse_reply (reply ()) with
+            | Ok (P.Verdicts vs) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "reply %d in order" k)
+                true
+                (vs = List.map (fun s -> if s == b then vb else va) (sets k))
+            | Ok r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r)
+            | Error msg -> Alcotest.failf "reply did not parse: %s" msg
+          done))
+
+(* An explicit [--jobs 1] (or HRT_JOBS=1) is a one-domain daemon; only
+   when neither is given does it take the default, at most 4 domains. *)
+let test_jobs_resolution () =
+  let default = Server.default_config.Server.jobs in
+  Alcotest.(check int) "default is min 4 cores"
+    (Stdlib.min 4 (Domain.recommended_domain_count ()))
+    default;
+  let resolve = Hrt_harness.Exp.resolve_jobs ~default in
+  Alcotest.(check int) "--jobs 1 stays 1" 1 (resolve (Some 1) None);
+  Alcotest.(check int) "HRT_JOBS=1 stays 1" 1 (resolve None (Some "1"));
+  Alcotest.(check int) "--jobs wins over HRT_JOBS" 1 (resolve (Some 1) (Some "3"));
+  Alcotest.(check int) "neither given" default (resolve None None);
+  Alcotest.(check int) "unparsable HRT_JOBS" default (resolve None (Some "many"))
+
 let test_drain_verb_stops_server () =
   let path = sock_path () in
   let server = Server.create ~socket:path quiet_cfg in
@@ -393,6 +498,8 @@ let suite =
   [
     Alcotest.test_case "decoder round-trip" `Quick test_decoder_roundtrip;
     Alcotest.test_case "decoder typed errors" `Quick test_decoder_errors;
+    Alcotest.test_case "decoder 1000 frames in one feed" `Quick
+      test_decoder_many_frames;
     to_alcotest prop_decoder_total;
     to_alcotest prop_frame_roundtrip;
     Alcotest.test_case "parse request" `Quick test_parse_request;
@@ -413,4 +520,6 @@ let suite =
     Alcotest.test_case "drain verb stops server" `Quick
       test_drain_verb_stops_server;
     Alcotest.test_case "tcp listener" `Quick test_tcp_listener;
+    Alcotest.test_case "slow reader gets every reply" `Quick test_slow_reader;
+    Alcotest.test_case "serve --jobs honoured" `Quick test_jobs_resolution;
   ]
