@@ -1,7 +1,7 @@
 (* Standalone lint driver: [hrt_lint [--config FILE] [--root DIR]
    [--verbose] [--summary FILE] [paths...]]. Exits 0 when every finding
    is waived and all budgets hold, 1 on findings, 2 on usage/config
-   errors. The same engine backs [hrt_sim lint]. *)
+   errors. *)
 
 let usage = "hrt_lint [--config FILE] [--root DIR] [--verbose] [paths...]"
 

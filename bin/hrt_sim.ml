@@ -9,7 +9,6 @@
      missrate [options]       run one period/slice miss-rate point
      verify <trace.json>      replay a recorded trace through the verifier
      faults                   list the named fault-injection plans
-     lint [paths...]          run the source-level invariant checker
      admit query <specs...>   analytical schedulability verdict + certificate
      admit batch <file>       memoized batch analysis of many task sets
      admit cross-validate     oracle vs simulator corpus agreement
@@ -34,8 +33,7 @@ let scale_term =
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters (slow).")
   in
-  Term.(
-    const (fun full -> if full then Exp.Full else Exp.scale_of_env ()) $ full)
+  Term.(const (fun full -> if full then Exp.Full else Exp.Quick) $ full)
 
 let policy_term =
   Arg.(
@@ -467,98 +465,6 @@ let faults_cmd =
       Hrt_fault.Fault.builtins
   in
   Cmd.v (Cmd.info "faults" ~doc ~man) Term.(const run $ const ())
-
-(* ---- lint ---- *)
-
-let lint_cmd =
-  let doc = "Run the source-level invariant checker over the tree." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Parses every $(b,.ml) file under the given paths and checks the \
-         three rule families from DESIGN.md section 10: domain-safety \
-         (module-toplevel mutable state in code reachable from parallel \
-         jobs), determinism (wall-clock, ambient entropy, hash-order and \
-         float polymorphic-compare dependence), and hot-path allocation \
-         (construction and closure captures inside $(b,[@@@hrt.hot]) \
-         regions).";
-      `P
-        "Findings can be waived in-source with \
-         [@hrt.unsynchronized]/[@hrt.nondet]/[@hrt.alloc_ok] attributes \
-         carrying a reason string; the committed $(b,.hrt-lint) file \
-         scopes the families and caps the waiver counts. Exit status is 0 \
-         when clean, 1 on unwaived findings, 2 on usage errors. The \
-         standalone $(b,hrt_lint) binary is the same engine.";
-    ]
-  in
-  let config_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "config" ] ~docv:"FILE"
-          ~doc:"Lint configuration (default: $(i,root)/.hrt-lint).")
-  in
-  let root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Repository root (default: nearest ancestor with .hrt-lint).")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Also print waived findings.")
-  in
-  let summary_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "summary" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable summary line to $(docv).")
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATHS"
-          ~doc:"Root-relative files or directories (default: lib bin).")
-  in
-  let run config_file root verbose summary_file paths =
-    let fail msg =
-      Printf.eprintf "hrt_sim lint: %s\n" msg;
-      exit 2
-    in
-    let root =
-      match (root, config_file) with
-      | Some r, _ -> r
-      | None, Some cf -> Filename.dirname cf
-      | None, None -> (
-        match Hrt_lint.Driver.find_root (Sys.getcwd ()) with
-        | Some r -> r
-        | None -> fail "no .hrt-lint found in any ancestor directory; pass --root")
-    in
-    let config_file =
-      match config_file with
-      | Some cf -> cf
-      | None -> Filename.concat root ".hrt-lint"
-    in
-    let config =
-      match Hrt_lint.Config.load config_file with
-      | Ok c -> c
-      | Error m -> fail m
-    in
-    let paths = match paths with [] -> [ "lib"; "bin" ] | ps -> ps in
-    let report = Hrt_lint.Driver.run ~config ~root paths in
-    Hrt_lint.Driver.render ~verbose stdout report;
-    (match summary_file with
-    | Some f ->
-      Out_channel.with_open_text f (fun oc ->
-          output_string oc (Hrt_lint.Driver.summary_line report ^ "\n"))
-    | None -> ());
-    if not (Hrt_lint.Driver.clean report) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc ~man)
-    Term.(const run $ config_file $ root $ verbose $ summary_file $ paths)
 
 (* ---- admit ---- *)
 
@@ -1092,7 +998,6 @@ let () =
             missrate_cmd;
             verify_cmd;
             faults_cmd;
-            lint_cmd;
             admit_cmd;
             serve_cmd;
             bench_cmd;

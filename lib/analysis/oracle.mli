@@ -96,5 +96,4 @@ val exact_infeasible : Taskset.t -> result -> bool
     granularity). The cross-validation harness uses this to decide when
     a rejection must force simulator misses. *)
 
-val pp_cert : Format.formatter -> cert -> unit
 val pp_result : Format.formatter -> result -> unit

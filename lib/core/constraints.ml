@@ -26,15 +26,7 @@ type criticality = Low | Mid | High
 let crit_rank = function Low -> 0 | Mid -> 1 | High -> 2
 let crit_name = function Low -> "low" | Mid -> "mid" | High -> "high"
 
-let crit_of_name = function
-  | "low" -> Some Low
-  | "mid" -> Some Mid
-  | "high" -> Some High
-  | _ -> None
-
 let crit_of_rank r = if r <= 0 then Low else if r = 1 then Mid else High
-
-let pp_crit fmt c = Format.pp_print_string fmt (crit_name c)
 
 let utilization = function
   | Periodic { period; slice; _ } ->

@@ -44,11 +44,8 @@ val crit_rank : criticality -> int
 val crit_name : criticality -> string
 (** Stable lowercase name ("low" / "mid" / "high") used in Obs events. *)
 
-val crit_of_name : string -> criticality option
 val crit_of_rank : int -> criticality
 (** Clamps out-of-range ranks to the nearest level. *)
-
-val pp_crit : Format.formatter -> criticality -> unit
 
 val utilization : t -> float
 (** [slice/period] for periodic constraints; 0 otherwise (sporadic

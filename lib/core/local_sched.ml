@@ -113,9 +113,6 @@ let emit_wake t (th : Thread.t) now =
 let sample t cost =
   Platform.sample t.shared.machine.Machine.platform t.cpu.Machine.rng cost
 
-let rt_queue_length t = Prio_queue.length t.rt_run
-let pending_length t = Prio_queue.length t.pending
-
 (* Aperiodic-queue wrappers maintain the machine-wide stealable count used
    as the cheap "is there anything to steal" signal. *)
 let aper_push_back t th =

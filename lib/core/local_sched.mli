@@ -61,7 +61,6 @@ val create : shared -> Machine.cpu -> t
     schedulers exist. *)
 
 val shared : t -> shared
-val cpu_id : t -> int
 
 val services : t -> Thread.services
 (** The kernel services handed to thread bodies running on this CPU; its
@@ -114,16 +113,6 @@ val kick : t -> from:int -> unit
 val on_device_irq : t -> handler_ns:Time.ns -> unit
 (** Entry point for a steered external interrupt: charges the handler cost
     and runs a scheduling pass (paper: bounded interrupt handler time). *)
-
-val aper_load : t -> int
-(** Stealable aperiodic threads queued here (work-stealing load metric). *)
-
-val try_steal_from : t -> thief_cpu:int -> Thread.t option
-(** Remove the oldest unbound aperiodic thread, rebinding it to the thief.
-    Used by the idle-thread work stealer. *)
-
-val rt_queue_length : t -> int
-val pending_length : t -> int
 
 val sync_accounting : t -> unit
 (** Charge the running thread's progress up to the current instant, so

@@ -192,15 +192,6 @@ let add_device t ~name ?(prio = 8) ?(threaded = false) ~mean_interval
 
 let steer_device t dev ~cpus = Irq.steer (machine t).Machine.irq dev ~cpus
 let start_device t dev = Irq.start (machine t).Machine.irq dev
-let stop_device t dev = Irq.stop (machine t).Machine.irq dev
-
-let total_account t =
-  let scheds = t.shared.Local_sched.scheds in
-  let acc = ref (Local_sched.account scheds.(0)) in
-  for i = 1 to Array.length scheds - 1 do
-    acc := Account.merge !acc (Local_sched.account scheds.(i))
-  done;
-  !acc
 
 let total_misses t =
   Array.fold_left

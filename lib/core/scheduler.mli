@@ -88,14 +88,9 @@ val admission_ops :
 
 val run : ?until:Time.ns -> t -> unit
 (** Run the simulation; progress accounting is synchronized on return, and
-    (when the sink is enabled) engine/accounting gauges are snapshot into
-    the metrics registry via {!snapshot_metrics}. *)
-
-val snapshot_metrics : t -> unit
-(** Scrape engine counters (events executed, queue-depth high-water mark,
-    simulated time, missing time) and per-CPU accounting (idle time,
-    invocations, arrivals, misses, kicks, steals) into the sink's metrics
-    registry as gauges. No-op on a disabled sink. *)
+    (when the sink is enabled) engine counters and per-CPU accounting
+    (idle time, invocations, arrivals, misses, kicks, steals) are
+    snapshot into the metrics registry as gauges. *)
 
 val sync_accounting : t -> unit
 (** Charge all running threads' progress up to the current instant (done
@@ -121,10 +116,6 @@ val add_device :
 
 val steer_device : t -> Irq.device -> cpus:int list -> unit
 val start_device : t -> Irq.device -> unit
-val stop_device : t -> Irq.device -> unit
-
-val total_account : t -> Account.t
-(** All CPUs' accounting merged. *)
 
 val total_misses : t -> int
 val total_arrivals : t -> int

@@ -6,12 +6,6 @@ type result = {
   residual_ns : Time.ns array;
 }
 
-let measured_offsets (m : Machine.t) =
-  let now = Engine.now m.Machine.engine in
-  let read i = Tsc.read (Machine.cpu m i).Machine.tsc ~now in
-  let base = read 0 in
-  Array.init (Machine.num_cpus m) (fun i -> Int64.to_float (Int64.sub (read i) base))
-
 let calibrate (m : Machine.t) =
   let plat = m.Machine.platform in
   let n = Machine.num_cpus m in

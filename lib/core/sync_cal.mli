@@ -20,7 +20,3 @@ type result = {
 val calibrate : Machine.t -> result
 (** Measure and write-correct every CPU's TSC. CPU 0 is the reference and
     keeps residual 0. Deterministic per machine seed. *)
-
-val measured_offsets : Machine.t -> float array
-(** Current true offsets (cycles) of each CPU's TSC vs CPU 0 — what an
-    all-knowing observer (Fig 3's histogram) sees right now. *)

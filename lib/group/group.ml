@@ -3,7 +3,9 @@ open Hrt_core
 
 (* A contended spin section: the [p]-th thread to enter since the section
    went quiet spins for (p+1) holdings of the lock. "Quiet" is detected by
-   wall-clock distance: contenders arriving within the window pile up. *)
+   wall-clock distance: contenders arriving within the window pile up.
+   This models every serialized group-bookkeeping step and yields the
+   linear per-member costs of Fig 10. *)
 type section = {
   mutable contenders : int;
   mutable last_enter : Time.ns;
@@ -80,8 +82,6 @@ let unlock t th =
   | None -> ()
 
 let locked_by t = t.locked_by
-
-let make_section _t cost = { contenders = 0; last_enter = Int64.min_int; cost }
 
 let enter_section s =
   let pos = ref None in

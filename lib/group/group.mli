@@ -49,15 +49,3 @@ val lock : t -> Thread.t -> unit
 
 val unlock : t -> Thread.t -> unit
 val locked_by : t -> Thread.t option
-
-type section
-(** A contended spin-lock-protected section: the [p]-th contender (since
-    the section last went quiet) spins for [(p+1)] holdings of the lock.
-    This models every serialized group-bookkeeping step and yields the
-    linear per-member costs of Fig 10. *)
-
-val make_section : t -> Hrt_hw.Platform.cost -> section
-(** A fresh section whose holding cost is one sample of [cost]. *)
-
-val enter_section : section -> Thread.body
-(** Fragment: pass through the section. *)

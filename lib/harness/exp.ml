@@ -4,9 +4,6 @@ open Hrt_group
 
 type scale = Quick | Full
 
-let scale_of_env () =
-  match Sys.getenv_opt "HRT_FULL" with Some _ -> Full | None -> Quick
-
 let cpus scale quick full = match scale with Quick -> quick | Full -> full
 
 let resolve_jobs ?(default = 1) flag env =
@@ -30,20 +27,15 @@ module Ctx = struct
     degrade : bool;
   }
 
-  let make ?(seed = 42L) ?scale ?(policy = Config.Edf)
+  let make ?(seed = 42L) ?(scale = Quick) ?(policy = Config.Edf)
       ?(sink = Hrt_obs.Sink.null) ?jobs ?fault ?(degrade = false) () =
-    let scale = match scale with Some s -> s | None -> scale_of_env () in
     let jobs =
       match jobs with Some j -> Stdlib.max 1 j | None -> jobs_of_env ()
     in
     { seed; scale; policy; sink; jobs; fault; degrade }
 
   let default () = make ()
-  let quick () = make ~scale:Quick ()
-  let with_sink t sink = { t with sink }
   let with_jobs t jobs = { t with jobs = Stdlib.max 1 jobs }
-  let with_fault t fault = { t with fault }
-  let with_degrade t degrade = { t with degrade }
 end
 
 let or_default ctx = match ctx with Some c -> c | None -> Ctx.default ()

@@ -7,9 +7,6 @@ type scale =
   | Quick  (** scaled-down CPU counts / sweeps / durations (seconds of wall time) *)
   | Full  (** paper-scale parameters (minutes of wall time) *)
 
-val scale_of_env : unit -> scale
-(** [Full] when the environment variable [HRT_FULL] is set, else [Quick]. *)
-
 val cpus : scale -> int -> int -> int
 (** [cpus scale quick full] picks a worker count. *)
 
@@ -17,10 +14,6 @@ val resolve_jobs : ?default:int -> int option -> string option -> int
 (** [resolve_jobs ?default flag env]: a [--jobs] [flag] as given, else
     [env] (the [HRT_JOBS] value) when it is a positive integer, else
     [default] (1, sequential). *)
-
-val jobs_of_env : unit -> int
-(** Parallel sweep width from the [HRT_JOBS] environment variable;
-    [1] (sequential) when unset or unparsable. *)
 
 (** The run context: everything an experiment needs to be self-contained.
 
@@ -55,20 +48,14 @@ module Ctx : sig
     t
   (** Defaults — the documented behavior of every [?ctx]-taking entry
       point when no context is passed: seed 42 (the repo-wide golden
-      seed), scale from [HRT_FULL], EDF policy, the disabled
+      seed), [Quick] scale, EDF policy, the disabled
       {!Hrt_obs.Sink.null} sink, jobs from [HRT_JOBS] (else 1), no fault
       plan, degradation off. *)
 
   val default : unit -> t
   (** [make ()]. *)
 
-  val quick : unit -> t
-  (** [make ~scale:Quick ()] — the test suite's context. *)
-
-  val with_sink : t -> Hrt_obs.Sink.t -> t
   val with_jobs : t -> int -> t
-  val with_fault : t -> Hrt_fault.Fault.Plan.t option -> t
-  val with_degrade : t -> bool -> t
 end
 
 val or_default : Ctx.t option -> Ctx.t

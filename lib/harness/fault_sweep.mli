@@ -11,11 +11,6 @@
 open Hrt_engine
 open Hrt_core
 
-val hi_period : Time.ns
-val hi_slice : Time.ns
-val lo_period : Time.ns
-val lo_slice : Time.ns
-
 type outcome = {
   hi_misses : int;
   lo_misses : int;

@@ -3,7 +3,7 @@ open Hrt_core
 open Hrt_stats
 
 let measure ?ctx platform =
-  let ctx = match ctx with Some c -> c | None -> Exp.Ctx.quick () in
+  let ctx = Exp.or_default ctx in
   let horizon =
     match ctx.Exp.Ctx.scale with
     | Exp.Quick -> Time.ms 50

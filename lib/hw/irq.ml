@@ -93,6 +93,5 @@ let start t d =
 
 let stop _t d = d.running <- false
 
-let device_name d = d.name
 let handler_cost d = d.handler_cost
 let delivered d = d.delivered

@@ -42,7 +42,6 @@ val start : t -> device -> unit
 
 val stop : t -> device -> unit
 
-val device_name : device -> string
 val handler_cost : device -> Platform.cost
 val delivered : device -> int
 (** Interrupts delivered (handed to an APIC) so far. *)

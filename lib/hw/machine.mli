@@ -35,6 +35,3 @@ val cpu : t -> int -> cpu
 
 val sample : t -> cpu -> Platform.cost -> Time.ns
 (** Sample a platform cost using the CPU's RNG stream. *)
-
-val read_tsc : t -> cpu -> int64
-(** The CPU's cycle counter right now. *)

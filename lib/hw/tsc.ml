@@ -19,6 +19,4 @@ let offset_cycles t = t.offset
 
 let ghz t = t.ghz
 
-let ns_of_reading t v = Time.ns_of_cycles ~ghz:t.ghz v
-
 let reading_of_ns t ns = Time.cycles_of_ns ~ghz:t.ghz ns

@@ -28,8 +28,4 @@ val offset_cycles : t -> int64
 
 val ghz : t -> float
 
-val ns_of_reading : t -> int64 -> Time.ns
-(** Convert a counter value back to estimated wall-clock nanoseconds using
-    the calibrated frequency (the scheduler's view of time, §3.3). *)
-
 val reading_of_ns : t -> Time.ns -> int64

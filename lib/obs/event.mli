@@ -109,7 +109,6 @@ val of_parts :
     [of_parts ~kind:(kind e) ~args:(args e) ~dur_ns:(dur_ns e) = Some e]. *)
 
 val cls_name : cls -> string
-val cls_of_name : string -> cls option
 
 val all_kinds : string list
 (** Every tag [kind] can produce, one per constructor. *)

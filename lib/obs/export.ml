@@ -109,11 +109,3 @@ let write_chrome_trace tr ~path = write_lines ~path (chrome_lines tr)
 
 let write_metrics_csv m ~path =
   Csv.write ~path ~header:Metrics.header (Metrics.rows m)
-
-let metrics_table ?(title = "observability metrics") m =
-  let table =
-    Table.create ~title
-      ~columns:(List.map (fun h -> (h, Table.Left)) Metrics.header)
-  in
-  List.iter (Table.row table) (Metrics.rows m);
-  table

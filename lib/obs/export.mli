@@ -17,6 +17,4 @@ val write_chrome_trace : Tracer.t -> path:string -> unit
 val write_metrics_csv : Metrics.t -> path:string -> unit
 (** CSV with {!Metrics.header} as the header row. *)
 
-val metrics_table : ?title:string -> Metrics.t -> Hrt_stats.Table.t
-
 val json_escape : string -> string

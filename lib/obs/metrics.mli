@@ -35,7 +35,6 @@ val observe : histo -> float -> unit
 (** Raises [Invalid_argument] on NaN (see {!Hrt_stats.Percentile.add}). *)
 
 val histo_count : histo -> int
-val histo_mean : histo -> float
 val histo_max : histo -> float
 
 val histo_percentile : histo -> float -> float

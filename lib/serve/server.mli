@@ -80,7 +80,3 @@ val run : ?install_sigterm:bool -> t -> unit
 (** Serve until drained. With [install_sigterm] (daemon mode), SIGTERM
     triggers {!request_drain}. The final stats line is printed to stderr
     on return. *)
-
-val stats_line : t -> string
-(** The machine-readable stats payload (same fields as the [stats]
-    verb). *)

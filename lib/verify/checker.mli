@@ -42,7 +42,5 @@ val violations : t -> violation list
 val rule_counts : t -> (Rules.t * int) list
 (** Exact violation count for every rule, in {!Rules.all} order. *)
 
-val total_violations : t -> int
-
 val clean : t -> bool
 (** [true] iff no rule fired. *)

@@ -38,7 +38,7 @@ let test_fig5_totals () =
 
 let test_fig6_feasibility_edge () =
   let points =
-    Miss_sweep.sweep ~ctx:(Exp.Ctx.quick ()) ~platform:Hrt_hw.Platform.phi
+    Miss_sweep.sweep ~ctx:(Exp.Ctx.default ()) ~platform:Hrt_hw.Platform.phi
       ~periods_us:[ 1000; 100; 10 ] ~slices_pct:[ 20; 50 ] ()
   in
   let rate p s =
@@ -59,11 +59,11 @@ let test_fig6_feasibility_edge () =
 let test_fig7_r415_finer_edge () =
   (* 10us/50% misses on Phi but works on the faster R415 (edge ~4us). *)
   let phi =
-    Miss_sweep.sweep ~ctx:(Exp.Ctx.quick ()) ~platform:Hrt_hw.Platform.phi
+    Miss_sweep.sweep ~ctx:(Exp.Ctx.default ()) ~platform:Hrt_hw.Platform.phi
       ~periods_us:[ 10 ] ~slices_pct:[ 40 ] ()
   in
   let r415 =
-    Miss_sweep.sweep ~ctx:(Exp.Ctx.quick ()) ~platform:Hrt_hw.Platform.r415
+    Miss_sweep.sweep ~ctx:(Exp.Ctx.default ()) ~platform:Hrt_hw.Platform.r415
       ~periods_us:[ 10 ] ~slices_pct:[ 40 ] ()
   in
   Alcotest.(check bool) "phi misses" true
@@ -73,7 +73,7 @@ let test_fig7_r415_finer_edge () =
 
 let test_fig8_miss_times_small () =
   let points =
-    Miss_sweep.sweep ~ctx:(Exp.Ctx.quick ()) ~platform:Hrt_hw.Platform.phi
+    Miss_sweep.sweep ~ctx:(Exp.Ctx.default ()) ~platform:Hrt_hw.Platform.phi
       ~periods_us:[ 10; 20 ] ~slices_pct:[ 50; 90 ] ()
   in
   List.iter
@@ -85,7 +85,7 @@ let test_fig8_miss_times_small () =
 
 let test_fig12_bias_grows_and_correction_works () =
   let mean data = Hrt_stats.Summary.mean (Hrt_stats.Summary.of_array data) in
-  let ctx = Exp.Ctx.quick () in
+  let ctx = Exp.Ctx.default () in
   let raw8 = mean (Fig11.collect ~ctx ~workers:8 ~phase_correction:false ()) in
   let raw32 = mean (Fig11.collect ~ctx ~workers:32 ~phase_correction:false ()) in
   let fix32 = mean (Fig11.collect ~ctx ~workers:32 ~phase_correction:true ()) in
@@ -96,13 +96,13 @@ let test_fig12_bias_grows_and_correction_works () =
 
 let test_ablation_eager_beats_lazy () =
   (* Reuse the ablation code path and check its verdict numerically. *)
-  let tables = Ablations.eager_vs_lazy ~ctx:(Exp.Ctx.quick ()) () in
+  let tables = Ablations.eager_vs_lazy ~ctx:(Exp.Ctx.default ()) () in
   Alcotest.(check int) "one table" 1 (List.length tables)
 
 let test_ablation_policy_table () =
   (* Table-level shape; the numeric EDF/RM separation is asserted in
      test_policy.ml against edf_vs_rm_points. *)
-  let tables = Ablations.edf_vs_rm ~ctx:(Exp.Ctx.quick ()) () in
+  let tables = Ablations.edf_vs_rm ~ctx:(Exp.Ctx.default ()) () in
   Alcotest.(check int) "one table" 1 (List.length tables);
   let t = List.hd tables in
   Alcotest.(check int) "six utilization points" 6 (Hrt_stats.Table.rows t)
@@ -139,7 +139,7 @@ let test_light_experiments_produce_tables () =
       match Registry.find name with
       | None -> Alcotest.fail ("missing " ^ name)
       | Some e ->
-        let tables = e.Registry.run (Exp.Ctx.quick ()) in
+        let tables = e.Registry.run (Exp.Ctx.default ()) in
         Alcotest.(check bool) (name ^ " has tables") true (List.length tables >= 1);
         List.iter
           (fun t ->

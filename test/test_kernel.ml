@@ -1,32 +1,6 @@
 open Hrt_engine
 open Hrt_kernel
 
-(* ---- Waitqueue ---- *)
-
-let test_waitqueue_fifo () =
-  let q = Waitqueue.create () in
-  Waitqueue.enqueue q 1;
-  Waitqueue.enqueue q 2;
-  Waitqueue.enqueue q 3;
-  Alcotest.(check (option int)) "oldest first" (Some 1) (Waitqueue.wake_one q);
-  Alcotest.(check (list int)) "wake all in order" [ 2; 3 ] (Waitqueue.wake_all q);
-  Alcotest.(check bool) "empty" true (Waitqueue.is_empty q)
-
-let test_waitqueue_remove () =
-  let q = Waitqueue.create () in
-  List.iter (Waitqueue.enqueue q) [ 1; 2; 3; 2 ];
-  Alcotest.(check (option int)) "removes first match" (Some 2)
-    (Waitqueue.remove q (fun x -> x = 2));
-  Alcotest.(check int) "others kept" 3 (Waitqueue.length q);
-  Alcotest.(check (list int)) "order preserved" [ 1; 3; 2 ] (Waitqueue.wake_all q)
-
-let test_waitqueue_remove_missing () =
-  let q = Waitqueue.create () in
-  Waitqueue.enqueue q 1;
-  Alcotest.(check (option int)) "no match" None
-    (Waitqueue.remove q (fun x -> x = 9));
-  Alcotest.(check int) "unchanged" 1 (Waitqueue.length q)
-
 (* ---- Deque ---- *)
 
 let test_deque_ends () =
@@ -169,9 +143,6 @@ let test_pool_invalid () =
 
 let suite =
   [
-    Alcotest.test_case "waitqueue fifo" `Quick test_waitqueue_fifo;
-    Alcotest.test_case "waitqueue remove" `Quick test_waitqueue_remove;
-    Alcotest.test_case "waitqueue remove missing" `Quick test_waitqueue_remove_missing;
     Alcotest.test_case "deque ends" `Quick test_deque_ends;
     Alcotest.test_case "deque remove" `Quick test_deque_remove;
     Alcotest.test_case "deque mixed ops" `Quick test_deque_mixed_ops;

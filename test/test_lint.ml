@@ -1,8 +1,7 @@
 (* hrt_lint test suite: fixture goldens, mutation tests proving each
    rule fires, config-parser semantics, budget enforcement, a self-scan
    of the real tree, and focused regression tests for the code the lint
-   flagged (sink default, buddy pop order, APIC timer probe, fig10
-   accumulation order). *)
+   flagged (sink default, APIC timer probe, fig10 accumulation order). *)
 
 open Hrt_lint
 
@@ -226,6 +225,98 @@ let test_sink_emit_mutation () =
       (diag_lines (appends src));
     Alcotest.(check bool) "mutant trips alloc-append" true (appends mutant <> [])
 
+(* ---- reachability: every module under lib/ must be named by another
+   .ml in lib/, bin/ or perfbench/, so none lives only for its own
+   tests ---- *)
+
+let rec ml_files root rel =
+  let abs = Filename.concat root rel in
+  if Sys.is_directory abs then
+    Sys.readdir abs |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun e -> ml_files root (Filename.concat rel e))
+  else if Filename.check_suffix rel ".ml" then [ rel ]
+  else []
+
+(* Module names [src] uses outside comments and literals: each
+   capitalized path component followed by a dot ([Mod.x], [Mod.(e)]) and
+   every component of an [open] path. *)
+let named_modules src =
+  let n = String.length src in
+  let is_id = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let rec comment i depth =
+    if i + 1 >= n then n
+    else if src.[i] = '(' && src.[i + 1] = '*' then comment (i + 2) (depth + 1)
+    else if src.[i] = '*' && src.[i + 1] = ')' then
+      if depth = 1 then i + 2 else comment (i + 2) (depth - 1)
+    else comment (i + 1) depth
+  in
+  let rec string i =
+    if i >= n then n
+    else
+      match src.[i] with
+      | '\\' -> string (i + 2)
+      | '"' -> i + 1
+      | _ -> string (i + 1)
+  in
+  let rec ident_end j = if j < n && is_id src.[j] then ident_end (j + 1) else j in
+  let rec go i ~after_open acc =
+    if i >= n then acc
+    else
+      match src.[i] with
+      | '(' when i + 1 < n && src.[i + 1] = '*' ->
+        go (comment (i + 2) 1) ~after_open acc
+      | '"' -> go (string (i + 1)) ~after_open acc
+      | '\'' when i + 1 < n && src.[i + 1] = '\\' ->
+        go (String.index_from src (i + 3) '\'' + 1) ~after_open acc
+      | '\'' when i + 2 < n && src.[i + 2] = '\'' -> go (i + 3) ~after_open acc
+      | 'A' .. 'Z' -> path i ~after_open acc
+      | c when is_id c ->
+        let j = ident_end i in
+        go j ~after_open:(String.sub src i (j - i) = "open") acc
+      | _ -> go (i + 1) ~after_open acc
+  and path i ~after_open acc =
+    let j = ident_end i in
+    let comp = String.sub src i (j - i) in
+    if j < n && src.[j] = '.' then
+      if j + 1 < n && 'A' <= src.[j + 1] && src.[j + 1] <= 'Z' then
+        path (j + 1) ~after_open (comp :: acc)
+      else go (j + 1) ~after_open:false (comp :: acc)
+    else go j ~after_open:false (if after_open then comp :: acc else acc)
+  in
+  go 0 ~after_open:false [] |> List.sort_uniq String.compare
+
+let test_lib_modules_reached () =
+  match find_repo_root (Sys.getcwd ()) 0 with
+  | None -> Alcotest.fail "repository root (.git + .hrt-lint) not found"
+  | Some root ->
+    let named =
+      List.concat_map (ml_files root) [ "lib"; "bin"; "perfbench" ]
+      |> List.map (fun rel ->
+             ( rel,
+               named_modules
+                 (In_channel.with_open_text (Filename.concat root rel)
+                    In_channel.input_all) ))
+    in
+    let modules = ml_files root "lib" in
+    let unreached =
+      List.filter
+        (fun rel ->
+          let m =
+            String.capitalize_ascii
+              (Filename.remove_extension (Filename.basename rel))
+          in
+          not
+            (List.exists
+               (fun (user, ms) -> user <> rel && List.mem m ms)
+               named))
+        modules
+    in
+    Alcotest.(check bool) "scanned a real tree" true (List.length modules > 50);
+    Alcotest.(check (list string)) "every lib module is reached" [] unreached
+
 let test_summary_line () =
   let report = Driver.run ~config:Config.all_on ~root:"lint" [ "alloc_tuple.ml" ] in
   Alcotest.(check string) "summary format"
@@ -233,19 +324,6 @@ let test_summary_line () =
     (Driver.summary_line report)
 
 (* ---- regressions for the defects the lint surfaced ---- *)
-
-(* lib/kernel/buddy.ml: pop_free used Hashtbl iteration order to pick a
-   free block; allocation offsets now always take the lowest offset. *)
-let test_buddy_lowest_offset () =
-  let b = Hrt_kernel.Buddy.create ~total:512 ~min_block:64 in
-  let offs = List.init 4 (fun _ -> Option.get (Hrt_kernel.Buddy.alloc b 64)) in
-  Alcotest.(check (list int)) "ascending split order" [ 0; 64; 128; 192 ] offs;
-  Hrt_kernel.Buddy.free b 128;
-  Hrt_kernel.Buddy.free b 0;
-  Alcotest.(check (option int)) "lowest free block first" (Some 0)
-    (Hrt_kernel.Buddy.alloc b 64);
-  Alcotest.(check (option int)) "then the next lowest" (Some 128)
-    (Hrt_kernel.Buddy.alloc b 64)
 
 (* lib/hw/apic.ml: the armed-timer probe the scheduler polls every
    decision is now the allocation-free [timer_armed]; it must agree with
@@ -281,7 +359,7 @@ let test_apic_timer_armed () =
    rendered tables — are identical run to run. *)
 let test_fig10_repeatable () =
   let render () =
-    Hrt_harness.Fig10.run ~ctx:(Hrt_harness.Exp.Ctx.quick ()) ()
+    Hrt_harness.Fig10.run ~ctx:(Hrt_harness.Exp.Ctx.default ()) ()
     |> List.map Hrt_stats.Table.render
     |> String.concat "\n"
   in
@@ -304,7 +382,7 @@ let suite =
     Alcotest.test_case "self scan clean" `Quick test_self_scan;
     Alcotest.test_case "sink emit mutation trips alloc-append" `Quick
       test_sink_emit_mutation;
-    Alcotest.test_case "buddy lowest offset" `Quick test_buddy_lowest_offset;
+    Alcotest.test_case "lib modules reached" `Quick test_lib_modules_reached;
     Alcotest.test_case "apic timer armed" `Quick test_apic_timer_armed;
     Alcotest.test_case "fig10 repeatable" `Quick test_fig10_repeatable;
   ]

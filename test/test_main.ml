@@ -10,7 +10,6 @@ let () =
       ("obs", Test_obs.suite);
       ("hw", Test_hw.suite);
       ("kernel", Test_kernel.suite);
-      ("buddy", Test_buddy.suite);
       ("core-data", Test_core_data.suite);
       ("policy", Test_policy.suite);
       ("scheduler", Test_sched.suite);
@@ -22,8 +21,6 @@ let () =
       ("golden", Test_golden.suite);
       ("cyclic", Test_cyclic.suite);
       ("soak", Test_soak.suite);
-      ("omp-runtime", Test_omp.suite);
-      ("nesl", Test_nesl.suite);
       ("verify", Test_verify.suite);
       ("fault", Test_fault.suite);
       ("lint", Test_lint.suite);

@@ -93,7 +93,7 @@ let test_missed_and_latest_start () =
    RM starts missing deadlines on a set EDF still schedules cleanly —
    and RM admission would have rejected exactly those sets. *)
 let test_rm_misses_past_bound_edf_clean () =
-  let points = Hrt_harness.Ablations.edf_vs_rm_points ~ctx:(Hrt_harness.Exp.Ctx.quick ()) () in
+  let points = Hrt_harness.Ablations.edf_vs_rm_points ~ctx:(Hrt_harness.Exp.Ctx.default ()) () in
   let low = List.hd points in
   let high = List.nth points (List.length points - 1) in
   Alcotest.(check bool) "below bound: RM admits" true low.Hrt_harness.Ablations.rm_admissible;
